@@ -1,11 +1,11 @@
 // E10 — Microbenchmarks of the core data structures (google-benchmark):
 // windowed bit vectors, closeness metrics, profile algebra, poset insertion
-// and the broker matching engine — plus an always-run concurrent-matching
-// throughput section (eq-only and range-only suites at 1/2/4/8 reader
-// threads against one published routing snapshot) that verifies exact
-// match-set equality against the single-thread oracle and emits
-// BENCH_match.json. GREENPS_TINY=1 shrinks the table and iteration counts
-// to smoke scale.
+// and the broker matching engine (build, compile, then match the compiled
+// index) — plus an always-run concurrent-matching throughput section
+// (eq-only and range-only suites at 1/2/4/8 reader threads against one
+// frozen routing table) that verifies exact match-set equality against the
+// brute-force oracle and emits BENCH_match.json. GREENPS_TINY=1 shrinks the
+// table and iteration counts to smoke scale.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -251,12 +251,16 @@ void BM_MatchingEngine(benchmark::State& state) {
       engine.insert(h++, f);
     }
   }
+  const MatchingEngine::Index index = engine.compile();
+  std::vector<std::uint32_t> out;
   std::size_t i = 0;
   for (auto _ : state) {
     const Publication pub = quotes.next(symbols[i++ % symbols.size()]);
-    benchmark::DoNotOptimize(engine.match(pub).size());
+    out.clear();
+    index.match_into(pub, out);
+    benchmark::DoNotOptimize(out.size());
   }
-  state.SetLabel(std::to_string(engine.size()) + " filters");
+  state.SetLabel(std::to_string(index.subs.size()) + " filters");
 }
 BENCHMARK(BM_MatchingEngine)->Arg(2000)->Arg(8000);
 
@@ -274,13 +278,14 @@ void BM_MatchingEngineEqOnly(benchmark::State& state) {
   pub.set_attr("class", Value(std::string("STOCK")));
   pub.set_attr("symbol", Value(std::string("SYM7")));
   pub.set_attr("low", Value(18.0));
-  std::vector<MatchingEngine::Handle> out;
+  const MatchingEngine::Index index = engine.compile();
+  std::vector<std::uint32_t> out;
   for (auto _ : state) {
     out.clear();
-    engine.match_into(pub, out);
+    index.match_into(pub, out);
     benchmark::DoNotOptimize(out.size());
   }
-  state.SetLabel(std::to_string(engine.size()) + " filters");
+  state.SetLabel(std::to_string(index.subs.size()) + " filters");
 }
 BENCHMARK(BM_MatchingEngineEqOnly)->Arg(2000)->Arg(8000);
 
@@ -301,13 +306,14 @@ void BM_MatchingEngineRangeOnly(benchmark::State& state) {
   Publication pub;
   pub.set_attr("class", Value(std::string("STOCK")));
   pub.set_attr("low", Value(42.0));
-  std::vector<MatchingEngine::Handle> out;
+  const MatchingEngine::Index index = engine.compile();
+  std::vector<std::uint32_t> out;
   for (auto _ : state) {
     out.clear();
-    engine.match_into(pub, out);
+    index.match_into(pub, out);
     benchmark::DoNotOptimize(out.size());
   }
-  state.SetLabel(std::to_string(engine.size()) + " filters");
+  state.SetLabel(std::to_string(index.subs.size()) + " filters");
 }
 BENCHMARK(BM_MatchingEngineRangeOnly)->Arg(2000)->Arg(8000);
 
@@ -388,13 +394,13 @@ BENCHMARK(BM_ShardedEventLoopDrain)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// --- concurrent snapshot-match throughput (always run; BENCH_match.json) --
+// --- concurrent frozen-table match throughput (always run; BENCH_match.json)
 //
-// Readers share one published SubscriptionRoutingTable snapshot and match
-// lock-free via match_published(); each reader owns its MatchScratch and
-// verifies every result — exact forward_to/deliver equality — against the
-// single-thread oracle computed up front. Throughput is aggregate match
-// operations per second across all readers. On a multi-core host the
+// Readers share one frozen SubscriptionRoutingTable and match it through
+// const match_into(); each reader owns its MatchScratch and verifies every
+// result — exact forward_to/deliver equality — against the brute-force
+// oracle (typed index and advertisement pruning off) computed up front.
+// Throughput is aggregate match operations per second across all readers. On a multi-core host the
 // eq/range suites are expected to scale near-linearly to the core count; a
 // single-core container reports ~flat numbers (the JSON records whatever
 // was measured).
@@ -404,8 +410,6 @@ struct MatchSuite {
   std::vector<Publication> pubs;
 };
 
-// The routing table pins its address (EpochPtr + atomic members), so suites
-// are populated in place rather than returned.
 void build_eq_suite(MatchSuite& s, std::size_t n) {
   s.name = "eq_only";
   for (std::size_t i = 0; i < n; ++i) {
@@ -414,7 +418,7 @@ void build_eq_suite(MatchSuite& s, std::size_t n) {
     f.add(Predicate{"symbol", Op::kEq, Value("SYM" + std::to_string(i % 40))});
     s.table.insert(SubId{i}, f, Hop::to_client(ClientId{i}));
   }
-  s.table.publish();
+  s.table.freeze();
   for (int k = 0; k < 8; ++k) {
     Publication pub;
     pub.set_attr("class", Value(std::string("STOCK")));
@@ -434,7 +438,7 @@ void build_range_suite(MatchSuite& s, std::size_t n) {
     f.add(Predicate{"low", Op::kLt, Value(lo + rng.uniform_real(0.5, 10.0))});
     s.table.insert(SubId{i}, f, Hop::to_client(ClientId{i}));
   }
-  s.table.publish();
+  s.table.freeze();
   for (int k = 0; k < 8; ++k) {
     Publication pub;
     pub.set_attr("class", Value(std::string("STOCK")));
@@ -453,14 +457,16 @@ struct MatchRunStats {
 MatchRunStats run_match_suite(const MatchSuite& s, std::size_t threads,
                               std::size_t iters_per_thread) {
   using MatchResult = SubscriptionRoutingTable::MatchResult;
-  // Single-thread oracle per publication, computed before the clock starts.
+  // Brute-force oracle per publication, computed before the clock starts
+  // (the toggles are process-wide, so they flip only while no reader runs).
   std::vector<MatchResult> oracle(s.pubs.size());
-  {
-    MatchScratch scratch;
-    for (std::size_t p = 0; p < s.pubs.size(); ++p) {
-      s.table.match_published(s.pubs[p], nullptr, oracle[p], scratch);
-    }
+  MatchingEngine::set_index_enabled(false);
+  SubscriptionRoutingTable::set_adv_pruning_enabled(false);
+  for (std::size_t p = 0; p < s.pubs.size(); ++p) {
+    s.table.match_into(s.pubs[p], nullptr, oracle[p]);
   }
+  MatchingEngine::set_index_enabled(true);
+  SubscriptionRoutingTable::set_adv_pruning_enabled(true);
 
   std::atomic<std::uint64_t> deliveries{0};
   std::atomic<std::uint64_t> mismatches{0};
@@ -474,7 +480,7 @@ MatchRunStats run_match_suite(const MatchSuite& s, std::size_t threads,
       std::uint64_t local_mismatches = 0;
       for (std::size_t i = 0; i < iters_per_thread; ++i) {
         const std::size_t p = (i + t) % s.pubs.size();
-        s.table.match_published(s.pubs[p], nullptr, out, scratch);
+        s.table.match_into(s.pubs[p], nullptr, out, scratch);
         local_deliveries += out.deliver.size();
         if (out.forward_to != oracle[p].forward_to || out.deliver != oracle[p].deliver) {
           ++local_mismatches;
@@ -502,7 +508,7 @@ int run_match_report() {
   // speedup_vs_1 measures scheduler overhead, not scaling. The flag rides
   // on each row so downstream dashboards can drop those points.
   const bool single_core_host = std::thread::hardware_concurrency() <= 1;
-  std::printf("\nconcurrent snapshot matching (%zu filters, %zu matches/thread)%s\n",
+  std::printf("\nconcurrent frozen-table matching (%zu filters, %zu matches/thread)%s\n",
               filters, iters, tiny ? " [tiny/smoke scale]" : "");
 
   bench::RunReport report("micro_match");

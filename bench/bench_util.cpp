@@ -92,9 +92,13 @@ RunResult run_approach(Approach a, const HarnessConfig& cfg) {
 
   const auto t0 = std::chrono::steady_clock::now();
   MatchingEngine::reset_match_walks();
+  // redeploy() restarts the simulator's event count; the events of the
+  // profile window it ended are added back so every row counts the whole
+  // run that wall_s times.
+  std::size_t events_before_redeploy = 0;
   const auto finish = [&](Simulation& sim) {
     result.summary = sim.summarize();
-    result.events = sim.events_executed();
+    result.events = events_before_redeploy + sim.events_executed();
     result.match_walks = MatchingEngine::match_walks();
     result.workers = sim.shard_count();
     result.wall_s =
@@ -124,6 +128,7 @@ RunResult run_approach(Approach a, const HarnessConfig& cfg) {
     finish(sim);
     return result;
   }
+  events_before_redeploy = sim.events_executed();
   sim.redeploy(apply_plan(sim.deployment(), result.report.plan));
   result.reconfigured = true;
   sim.run(cfg.measure_seconds);

@@ -49,34 +49,12 @@ class Broker {
   [[nodiscard]] BandwidthLimiter& out_link() { return out_link_; }
   [[nodiscard]] const BandwidthLimiter& out_link() const { return out_link_; }
 
-  // Route one publication, excluding the neighbor it came from (if any).
-  [[nodiscard]] SubscriptionRoutingTable::MatchResult route(const Publication& pub,
-                                                            const BrokerId* from) const {
-    return srt_.match(pub, from);
-  }
-
-  // Allocation-free variant: fills (and clears) a caller-owned result, so a
+  // Route one publication against the frozen SRT, excluding the neighbor
+  // it came from (if any). Fills (and clears) a caller-owned result, so a
   // driver can reuse one MatchResult's vectors across every routed message.
   void route_into(const Publication& pub, const BrokerId* from,
-                  SubscriptionRoutingTable::MatchResult& out) const {
-    srt_.match_into(pub, from, out);
-  }
-
-  // Hot-path variant with caller-owned scratch and optional parallel
-  // candidate evaluation (bit-identical result either way).
-  void route_into(const Publication& pub, const BrokerId* from,
-                  SubscriptionRoutingTable::MatchResult& out, MatchScratch& scratch,
-                  CandidateEvaluator* eval = nullptr) const {
-    srt_.match_into(pub, from, out, scratch, eval);
-  }
-
-  // Publish immutable snapshots of both routing tables (epoch handle), so
-  // concurrent readers — parallel matching helpers, other threads via
-  // match_published — can route lock-free. Call after (re)installing
-  // routing state; cheap when nothing changed.
-  void publish_routing() {
-    srt_.publish();
-    prt_.publish();
+                  SubscriptionRoutingTable::MatchResult& out, MatchScratch& scratch) const {
+    srt_.match_into(pub, from, out, scratch);
   }
 
   void reset_queues() {

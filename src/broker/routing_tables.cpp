@@ -1,6 +1,8 @@
 #include "broker/routing_tables.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cassert>
 
 #include "matching/relations.hpp"
 
@@ -45,90 +47,46 @@ bool SubscriptionRoutingTable::eq_disjoint(const std::vector<EqPred>& a,
 }
 
 void SubscriptionRoutingTable::insert(SubId sub, const Filter& filter, Hop next_hop) {
-  if (hops_.contains(sub)) remove(sub);
   engine_.insert(sub.value(), filter);
   hops_.insert_or_assign(sub, next_hop);
-  dirty_.store(true, std::memory_order_relaxed);
-  if (advs_.empty()) return;
-  const CompiledFilter* cf = engine_.compiled(sub.value());
-  const std::vector<EqPred> sub_eqs = eq_preds(filter);
-  for (auto& [adv, scope] : advs_) {
-    (void)adv;
-    if (eq_disjoint(scope.eqs, sub_eqs)) continue;
-    const auto pos = std::lower_bound(
-        scope.candidates.begin(), scope.candidates.end(), sub.value(),
-        [](const Cand& c, MatchingEngine::Handle h) { return c.handle < h; });
-    scope.candidates.insert(pos, Cand{sub.value(), cf, next_hop});
-  }
+  stale_ = true;
 }
 
 void SubscriptionRoutingTable::remove(SubId sub) {
-  if (!hops_.contains(sub)) return;
+  if (hops_.erase(sub) == 0) return;
   engine_.remove(sub.value());
-  hops_.erase(sub);
-  dirty_.store(true, std::memory_order_relaxed);
-  for (auto& [adv, scope] : advs_) {
-    (void)adv;
-    const auto pos = std::lower_bound(
-        scope.candidates.begin(), scope.candidates.end(), sub.value(),
-        [](const Cand& c, MatchingEngine::Handle h) { return c.handle < h; });
-    if (pos != scope.candidates.end() && pos->handle == sub.value()) {
-      scope.candidates.erase(pos);
-    }
-  }
+  stale_ = true;
 }
 
 void SubscriptionRoutingTable::register_advertisement(AdvId id, const Filter& filter) {
-  AdvScope scope;
-  scope.compiled = CompiledFilter(filter);
-  scope.eqs = eq_preds(filter);
-  engine_.for_each([&](MatchingEngine::Handle h, const Filter& f) {
-    if (eq_disjoint(scope.eqs, eq_preds(f))) return;
-    const auto hit = hops_.find(SubId{h});
-    if (hit == hops_.end()) return;
-    scope.candidates.push_back(Cand{h, engine_.compiled(h), hit->second});
-  });
-  std::sort(scope.candidates.begin(), scope.candidates.end(),
-            [](const Cand& a, const Cand& b) { return a.handle < b.handle; });
-  advs_.insert_or_assign(id, std::move(scope));
-  dirty_.store(true, std::memory_order_relaxed);
+  advs_.insert_or_assign(id, filter);
+  stale_ = true;
 }
 
-SubscriptionRoutingTable::Snapshot* SubscriptionRoutingTable::build_snapshot() const {
-  auto* s = new Snapshot();
-  s->engine = engine_.build_snapshot();
-  // Dense-index lookup for the hop array and the advertisement candidate
-  // remap. Every engine handle has a hop (insert/remove keep them in sync).
-  std::unordered_map<MatchingEngine::Handle, std::uint32_t> dense;
-  dense.reserve(s->engine.subs.size());
-  s->hops.reserve(s->engine.subs.size());
-  for (const auto& sub : s->engine.subs) {
-    dense.emplace(sub.handle, static_cast<std::uint32_t>(s->hops.size()));
-    s->hops.push_back(hops_.at(SubId{sub.handle}));
+void SubscriptionRoutingTable::freeze() {
+  Table t;
+  t.index = engine_.compile();
+  const std::size_t n = t.index.subs.size();
+  t.hops.reserve(n);
+  // Every engine handle has a hop (insert/remove keep them in sync).
+  for (const auto& sub : t.index.subs) t.hops.push_back(hops_.at(SubId{sub.handle}));
+  if (!advs_.empty()) {
+    std::vector<std::vector<EqPred>> sub_eqs;
+    sub_eqs.reserve(n);
+    for (const auto& sub : t.index.subs) sub_eqs.push_back(eq_preds(*engine_.find(sub.handle)));
+    t.advs.reserve(advs_.size());
+    for (const auto& [id, filter] : advs_) {
+      Table::AdvScope scope;
+      scope.compiled = CompiledFilter(filter);
+      const std::vector<EqPred> adv_eqs = eq_preds(filter);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (!eq_disjoint(adv_eqs, sub_eqs[i])) scope.candidates.push_back(i);
+      }
+      t.advs.emplace(id, std::move(scope));
+    }
   }
-  s->advs.reserve(advs_.size());
-  for (const auto& [id, scope] : advs_) {
-    Snapshot::SnapScope snap_scope;
-    snap_scope.compiled = scope.compiled;
-    snap_scope.candidates.reserve(scope.candidates.size());
-    for (const Cand& c : scope.candidates) snap_scope.candidates.push_back(dense.at(c.handle));
-    s->advs.emplace(id, std::move(snap_scope));
-  }
-  return s;
-}
-
-void SubscriptionRoutingTable::publish() {
-  if (!dirty_.load(std::memory_order_relaxed)) return;
-  Snapshot* s = build_snapshot();
-  s->version = next_version_++;
-  dirty_.store(false, std::memory_order_relaxed);
-  snap_.publish(s);
-}
-
-std::uint64_t SubscriptionRoutingTable::published_version() const {
-  EpochGuard guard;
-  const Snapshot* s = snap_.load();
-  return s == nullptr ? 0 : s->version;
+  table_ = std::move(t);
+  stale_ = false;
 }
 
 void SubscriptionRoutingTable::finalize(MatchResult& result) {
@@ -140,127 +98,50 @@ void SubscriptionRoutingTable::finalize(MatchResult& result) {
   std::sort(result.deliver.begin(), result.deliver.end());
 }
 
-void SubscriptionRoutingTable::match_snapshot(const Snapshot& snap, const Publication& pub,
-                                              const BrokerId* exclude, MatchResult& result,
-                                              MatchScratch& scratch,
-                                              CandidateEvaluator* eval) const {
+void SubscriptionRoutingTable::match_into(const Publication& pub, const BrokerId* exclude,
+                                          MatchResult& result, MatchScratch& scratch) const {
+  assert(!stale_ && "routing table mutated after freeze(); freeze it again before matching");
   result.clear();
+  const Table& t = table_;
   auto route = [&](std::uint32_t idx) {
-    const Hop& hop = snap.hops[idx];
+    const Hop& hop = t.hops[idx];
     if (hop.kind == Hop::Kind::kClient) {
-      result.deliver.emplace_back(SubId{snap.engine.subs[idx].handle}, hop.client);
+      result.deliver.emplace_back(SubId{t.index.subs[idx].handle}, hop.client);
     } else {
       if (exclude != nullptr && hop.broker == *exclude) return;
       result.forward_to.push_back(hop.broker);
     }
   };
-  const Snapshot::SnapScope* scope = nullptr;
+  const Table::AdvScope* scope = nullptr;
   if (adv_pruning_enabled() && pub.adv_id().valid()) {
-    const auto it = snap.advs.find(pub.adv_id());
-    if (it != snap.advs.end() && it->second.compiled.matches(pub)) scope = &it->second;
+    const auto it = t.advs.find(pub.adv_id());
+    // Pruning applies only to conforming publications; anything else (or an
+    // unknown advertisement) takes the full index match.
+    if (it != t.advs.end() && it->second.compiled.matches(pub)) scope = &it->second;
   }
   if (scope != nullptr) {
     // Advertisement-scoped fast path: the candidate list is one dense pass.
-    // Walks are credited up front as in the live path; with an evaluator the
-    // pass fans out but the emitted order (ascending candidate position)
-    // keeps the result bit-identical.
     MatchingEngine::add_match_walks(scope->candidates.size());
-    auto pred = [&](std::size_t i) {
-      return snap.engine.subs[scope->candidates[i]].filter.matches(pub);
-    };
-    for_each_matching(eval, &scratch, scope->candidates.size(), pred,
-                      [&](std::size_t i) { route(scope->candidates[i]); });
+    for (const std::uint32_t idx : scope->candidates) {
+      if (t.index.subs[idx].filter.matches(pub)) route(idx);
+    }
   } else {
     scratch.dense.clear();
-    snap.engine.match_into(pub, scratch, scratch.dense, eval);
+    t.index.match_into(pub, scratch.dense);
     for (const std::uint32_t idx : scratch.dense) route(idx);
   }
   finalize(result);
 }
 
-void SubscriptionRoutingTable::match_live(const Publication& pub, const BrokerId* exclude,
-                                          MatchResult& result, MatchScratch& scratch,
-                                          CandidateEvaluator* eval) const {
-  (void)eval;  // parallel evaluation runs on published snapshots only
-  result.clear();
-  const AdvScope* scope = nullptr;
-  if (adv_pruning_enabled() && pub.adv_id().valid()) {
-    const auto it = advs_.find(pub.adv_id());
-    // Pruning applies only to conforming publications; anything else (or an
-    // unknown advertisement) takes the full engine match.
-    if (it != advs_.end() && it->second.compiled.matches(pub)) scope = &it->second;
-  }
-  if (scope != nullptr) {
-    // Fast path: candidates carry compiled filter and hop, so the whole
-    // routing decision is a linear pass with zero hash lookups.
-    MatchingEngine::add_match_walks(scope->candidates.size());
-    for (const Cand& c : scope->candidates) {
-      if (!c.filter->matches(pub)) continue;
-      if (c.hop.kind == Hop::Kind::kClient) {
-        result.deliver.emplace_back(SubId{c.handle}, c.hop.client);
-      } else {
-        if (exclude != nullptr && c.hop.broker == *exclude) continue;
-        result.forward_to.push_back(c.hop.broker);
-      }
-    }
-  } else {
-    scratch.handles.clear();
-    engine_.match_into(pub, scratch.handles);
-    for (const auto handle : scratch.handles) {
-      const SubId sub{handle};
-      const auto it = hops_.find(sub);
-      if (it == hops_.end()) continue;
-      const Hop& hop = it->second;
-      if (hop.kind == Hop::Kind::kClient) {
-        result.deliver.emplace_back(sub, hop.client);
-      } else {
-        if (exclude != nullptr && hop.broker == *exclude) continue;
-        result.forward_to.push_back(hop.broker);
-      }
-    }
-  }
-  finalize(result);
-}
-
-void SubscriptionRoutingTable::match_into(const Publication& pub, const BrokerId* exclude,
-                                          MatchResult& result, MatchScratch& scratch,
-                                          CandidateEvaluator* eval) const {
-  if (!dirty_.load(std::memory_order_relaxed)) {
-    EpochGuard guard;
-    if (const Snapshot* s = snap_.load(); s != nullptr) {
-      match_snapshot(*s, pub, exclude, result, scratch, eval);
-      return;
-    }
-  }
-  match_live(pub, exclude, result, scratch, eval);
-}
-
-std::uint64_t SubscriptionRoutingTable::match_published(const Publication& pub,
-                                                        const BrokerId* exclude,
-                                                        MatchResult& result,
-                                                        MatchScratch& scratch,
-                                                        CandidateEvaluator* eval) const {
-  EpochGuard guard;
-  const Snapshot* s = snap_.load();
-  if (s == nullptr) {
-    result.clear();
-    return 0;
-  }
-  match_snapshot(*s, pub, exclude, result, scratch, eval);
-  return s->version;
-}
-
 void AdvertisementRoutingTable::insert(Advertisement adv, Hop last_hop) {
   remove(adv.id());
   entries_.push_back(Entry{std::move(adv), last_hop});
-  dirty_.store(true, std::memory_order_relaxed);
 }
 
 void AdvertisementRoutingTable::remove(AdvId id) {
   entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
                                 [id](const Entry& e) { return e.adv.id() == id; }),
                  entries_.end());
-  dirty_.store(true, std::memory_order_relaxed);
 }
 
 std::vector<Hop> AdvertisementRoutingTable::directions_for(const Filter& f) const {
@@ -272,36 +153,6 @@ std::vector<Hop> AdvertisementRoutingTable::directions_for(const Filter& f) cons
     }
   }
   return out;
-}
-
-void AdvertisementRoutingTable::publish() {
-  if (!dirty_.load(std::memory_order_relaxed)) return;
-  auto* s = new Snapshot();
-  s->entries = entries_;
-  s->version = next_version_++;
-  dirty_.store(false, std::memory_order_relaxed);
-  snap_.publish(s);
-}
-
-std::uint64_t AdvertisementRoutingTable::published_version() const {
-  EpochGuard guard;
-  const Snapshot* s = snap_.load();
-  return s == nullptr ? 0 : s->version;
-}
-
-std::uint64_t AdvertisementRoutingTable::directions_for_published(
-    const Filter& f, std::vector<Hop>& out) const {
-  out.clear();
-  EpochGuard guard;
-  const Snapshot* s = snap_.load();
-  if (s == nullptr) return 0;
-  for (const Entry& e : s->entries) {
-    if (!intersects(e.adv.filter(), f)) continue;
-    if (std::find(out.begin(), out.end(), e.last_hop) == out.end()) {
-      out.push_back(e.last_hop);
-    }
-  }
-  return s->version;
 }
 
 }  // namespace greenps

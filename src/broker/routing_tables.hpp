@@ -3,23 +3,21 @@
 // and the publication/advertisement routing table (PRT) steering
 // subscriptions toward matching advertisements.
 //
-// Concurrency model: mutations (insert/remove/register_advertisement) and
-// publish() belong to one owning thread. The match read paths are const and
-// keep no table-side scratch — callers own a MatchScratch — so once a
-// snapshot is published, any number of threads can match concurrently and
-// lock-free via match_published() while the owner keeps mutating and
-// re-publishing: readers pin an epoch, load the snapshot pointer with one
-// atomic load, and retired snapshots are reclaimed when the last reader
-// leaves (src/common/epoch.hpp).
+// Build-then-freeze: routing state changes only when a deployment installs
+// it. One thread fills a table (insert/remove/register_advertisement), then
+// freeze() compiles it once into an immutable routing table — the matching
+// engine's Index, a hop per compiled subscription and the advertisement
+// scopes. match_into() reads only that compiled table, as const, from any
+// number of threads at once; happens-before comes from thread start or the
+// simulator's shard barrier. A mutation after freeze() marks the table
+// stale, and matching a stale table asserts in debug builds.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/epoch.hpp"
 #include "common/ids.hpp"
 #include "language/advertisement.hpp"
 #include "matching/matching_engine.hpp"
@@ -73,30 +71,26 @@ class SubscriptionRoutingTable {
 
   // Announce an advertisement known at this broker. A conforming publication
   // from `id` (one matching the advertisement's filter) can only match
-  // subscriptions compatible with it, so the table precomputes a
-  // conservative candidate set per advertisement — routing tables are
-  // static during a simulation run — and matches only those candidates.
-  // Each candidate carries its compiled filter and next hop, so the fast
-  // path runs without any per-candidate hash lookup. Non-conforming
-  // publications fall back to the full engine match, so registration never
-  // changes the match set.
+  // subscriptions compatible with it, so freeze() precomputes a
+  // conservative candidate set per advertisement and matching scans only
+  // those candidates. Non-conforming publications fall back to the full
+  // index match, so registration never changes the match set.
   void register_advertisement(AdvId id, const Filter& filter);
 
-  // Build an immutable snapshot of the current table and publish it with a
-  // single atomic pointer swap. Owner-thread only; cheap when nothing
-  // changed since the last publish.
-  void publish();
-  // Version of the latest published snapshot (0 before the first publish).
-  [[nodiscard]] std::uint64_t published_version() const;
+  // Compile the current entries into the immutable table match_into()
+  // reads. Call once after installing routing state (and again after any
+  // later mutation).
+  void freeze();
+  // True when a mutation happened since the last freeze(): the compiled
+  // table no longer reflects the entries.
+  [[nodiscard]] bool stale() const { return stale_; }
 
-  // Match a publication, optionally excluding the broker link it arrived on
-  // (never forward a publication back where it came from). `out` is cleared
-  // first. Owner-thread path: routes through the published snapshot when it
-  // is current, else through the live index. `scratch` is caller-owned;
-  // `eval` (optional) fans large candidate batches across threads with a
-  // bit-identical result.
+  // Match a publication against the compiled table, optionally excluding
+  // the broker link it arrived on (never forward a publication back where
+  // it came from). `out` is cleared first; `scratch` is caller-owned. Safe
+  // from any number of threads at once. The table must not be stale.
   void match_into(const Publication& pub, const BrokerId* exclude, MatchResult& out,
-                  MatchScratch& scratch, CandidateEvaluator* eval = nullptr) const;
+                  MatchScratch& scratch) const;
 
   // Convenience overload with call-local scratch (allocates; tests and cold
   // paths only).
@@ -104,15 +98,6 @@ class SubscriptionRoutingTable {
     MatchScratch scratch;
     match_into(pub, exclude, out, scratch);
   }
-
-  // Lock-free concurrent read path: match against the latest published
-  // snapshot, never touching live state. Safe from any thread at any time,
-  // including while the owner mutates and re-publishes. Returns the
-  // snapshot version matched against, or 0 (empty result) if nothing has
-  // been published yet.
-  std::uint64_t match_published(const Publication& pub, const BrokerId* exclude,
-                                MatchResult& out, MatchScratch& scratch,
-                                CandidateEvaluator* eval = nullptr) const;
 
   [[nodiscard]] MatchResult match(const Publication& pub,
                                   const BrokerId* exclude = nullptr) const {
@@ -140,53 +125,30 @@ class SubscriptionRoutingTable {
     ValueKey key;
   };
 
-  struct Cand {
-    MatchingEngine::Handle handle;
-    const CompiledFilter* filter;  // owned by engine_, valid while inserted
-    Hop hop;
-  };
-
-  struct AdvScope {
-    CompiledFilter compiled;   // conformance check for incoming publications
-    std::vector<EqPred> eqs;   // the advertisement's equality predicates
-    std::vector<Cand> candidates;  // sorted by handle
-  };
-
-  // Immutable published table: the engine snapshot (dense subs in ascending
-  // handle order) plus a hop per dense sub and the advertisement scopes
-  // with candidates as dense indices.
-  struct Snapshot {
-    struct SnapScope {
+  // The compiled table: the engine index (dense subs in ascending handle
+  // order), a hop per dense sub, and per advertisement its conformance
+  // check plus candidates as dense indices.
+  struct Table {
+    struct AdvScope {
       CompiledFilter compiled;
       std::vector<std::uint32_t> candidates;  // dense, ascending handle
     };
 
-    MatchingEngine::Snapshot engine;
-    std::vector<Hop> hops;  // parallel to engine.subs
-    std::unordered_map<AdvId, SnapScope> advs;
-    std::uint64_t version = 0;
+    MatchingEngine::Index index;
+    std::vector<Hop> hops;  // parallel to index.subs
+    std::unordered_map<AdvId, AdvScope> advs;
   };
 
   [[nodiscard]] static std::vector<EqPred> eq_preds(const Filter& f);
   [[nodiscard]] static bool eq_disjoint(const std::vector<EqPred>& a,
                                         const std::vector<EqPred>& b);
-
-  [[nodiscard]] Snapshot* build_snapshot() const;
-  void match_snapshot(const Snapshot& snap, const Publication& pub,
-                      const BrokerId* exclude, MatchResult& out, MatchScratch& scratch,
-                      CandidateEvaluator* eval) const;
-  void match_live(const Publication& pub, const BrokerId* exclude, MatchResult& out,
-                  MatchScratch& scratch, CandidateEvaluator* eval) const;
   static void finalize(MatchResult& out);
 
   MatchingEngine engine_;
   std::unordered_map<SubId, Hop> hops_;
-  std::unordered_map<AdvId, AdvScope> advs_;
-  EpochPtr<Snapshot> snap_;
-  std::uint64_t next_version_ = 1;
-  // Set by mutators, cleared by publish(): the owner-thread match path uses
-  // the snapshot only while it reflects the live table.
-  std::atomic<bool> dirty_{true};
+  std::unordered_map<AdvId, Filter> advs_;
+  Table table_;
+  bool stale_ = false;
 };
 
 class AdvertisementRoutingTable {
@@ -201,26 +163,10 @@ class AdvertisementRoutingTable {
 
   [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
   // Directions (deduplicated) toward every advertisement intersecting `f`.
-  // Owner-thread path (reads the live table).
   [[nodiscard]] std::vector<Hop> directions_for(const Filter& f) const;
 
-  // Publish an immutable copy of the table; see SubscriptionRoutingTable.
-  void publish();
-  [[nodiscard]] std::uint64_t published_version() const;
-  // Lock-free read of the latest published snapshot; appends to `out`
-  // (cleared first). Returns the snapshot version, or 0 if none.
-  std::uint64_t directions_for_published(const Filter& f, std::vector<Hop>& out) const;
-
  private:
-  struct Snapshot {
-    std::vector<Entry> entries;
-    std::uint64_t version = 0;
-  };
-
   std::vector<Entry> entries_;
-  EpochPtr<Snapshot> snap_;
-  std::uint64_t next_version_ = 1;
-  std::atomic<bool> dirty_{true};
 };
 
 }  // namespace greenps

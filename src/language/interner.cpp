@@ -1,5 +1,7 @@
 #include "language/interner.hpp"
 
+#include <mutex>
+
 namespace greenps {
 
 Interner& Interner::global() {
@@ -9,48 +11,33 @@ Interner& Interner::global() {
 
 InternId Interner::intern(std::string_view s) {
   if (const InternId id = find(s); id != kNoIntern) return id;
-  std::lock_guard<std::mutex> lock(write_mu_);
-  // Re-check under the write lock: another thread may have published the
-  // string between our miss and acquiring the mutex.
-  {
-    EpochGuard guard;
-    if (const Table* t = table_.load(); t != nullptr) {
-      const auto it = t->ids.find(s);
-      if (it != t->ids.end()) return it->second;
-    }
-  }
+  std::unique_lock lock(mu_);
+  // Re-check under the exclusive lock: another thread may have interned the
+  // string between our miss and acquiring it.
+  if (const auto it = ids_.find(s); it != ids_.end()) return it->second;
   const std::string& stored = storage_.emplace_back(s);
-  auto* next = new Table();
-  {
-    EpochGuard guard;
-    if (const Table* t = table_.load(); t != nullptr) *next = *t;
-  }
-  const auto id = static_cast<InternId>(next->spellings.size());
-  next->spellings.push_back(&stored);
-  next->ids.emplace(std::string_view(stored), id);
-  table_.publish(next);
+  const auto id = static_cast<InternId>(spellings_.size());
+  spellings_.push_back(&stored);
+  ids_.emplace(std::string_view(stored), id);
   return id;
 }
 
 InternId Interner::find(std::string_view s) const {
-  EpochGuard guard;
-  const Table* t = table_.load();
-  if (t == nullptr) return kNoIntern;
-  const auto it = t->ids.find(s);
-  return it == t->ids.end() ? kNoIntern : it->second;
+  std::shared_lock lock(mu_);
+  const auto it = ids_.find(s);
+  return it == ids_.end() ? kNoIntern : it->second;
 }
 
 const std::string& Interner::spelling(InternId id) const {
-  EpochGuard guard;
-  // The returned reference outlives the guard safely: spellings live in the
-  // grow-only storage deque, not in the (reclaimable) table snapshot.
-  return *table_.load()->spellings.at(id);
+  std::shared_lock lock(mu_);
+  // The returned reference outlives the lock safely: spellings live in the
+  // grow-only storage deque.
+  return *spellings_.at(id);
 }
 
 std::size_t Interner::size() const {
-  EpochGuard guard;
-  const Table* t = table_.load();
-  return t == nullptr ? 0 : t->spellings.size();
+  std::shared_lock lock(mu_);
+  return spellings_.size();
 }
 
 ValueKey value_key(const Value& v) {

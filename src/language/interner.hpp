@@ -15,13 +15,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "common/epoch.hpp"
 #include "language/value.hpp"
 
 namespace greenps {
@@ -53,22 +52,17 @@ class Interner {
     }
   };
 
-  // Thread-safe and lock-free on the hot path: the lookup table is an
-  // immutable snapshot published behind an epoch handle, so find/spelling
-  // and the already-known intern() case are a pinned load plus a hash
-  // probe — no lock, no shared cacheline. First-sight interning takes the
-  // write mutex, appends the spelling to grow-only stable storage, rebuilds
-  // the table copy and publishes it. The vocabulary is tiny and converges
-  // fast, so rebuild-on-miss is off the steady-state path entirely.
-  struct Table {
-    // Views point into storage_'s deque-stable strings.
-    std::unordered_map<std::string_view, InternId, Hash, std::equal_to<>> ids;
-    std::vector<const std::string*> spellings;
-  };
-
-  mutable std::mutex write_mu_;
+  // Thread-safe: the one routing structure still written while simulation
+  // shards run, because publications intern their attribute names on
+  // worker threads. find/spelling/size and the already-known intern() case
+  // take the shared lock; first-sight interning takes the exclusive lock
+  // and inserts in place. The vocabulary is tiny and converges fast, so the
+  // exclusive path is off the steady state entirely.
+  mutable std::shared_mutex mu_;
   std::deque<std::string> storage_;  // grow-only; stable references on growth
-  EpochPtr<Table> table_;
+  // Views point into storage_'s deque-stable strings.
+  std::unordered_map<std::string_view, InternId, Hash, std::equal_to<>> ids_;
+  std::vector<const std::string*> spellings_;
 };
 
 // Canonical constant-size key of a Value, suitable for hashing: equal values

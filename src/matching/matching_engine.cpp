@@ -41,8 +41,8 @@ const Predicate* MatchingEngine::pick_eq_predicate(const Filter& f) const {
   for (const auto& p : f.predicates()) {
     if (p.op != Op::kEq) continue;
     std::size_t distinct = 0;
-    const auto it = attr_indexes_.find(Interner::global().find(p.attribute));
-    if (it != attr_indexes_.end()) distinct = it->second.eq.size();
+    const auto it = eq_keys_.find(Interner::global().find(p.attribute));
+    if (it != eq_keys_.end()) distinct = it->second.size();
     // `>=` so later predicates win ties: subscription filters typically put
     // the broad class predicate first and the selective one after it.
     if (best == nullptr || distinct >= best_distinct) {
@@ -54,16 +54,15 @@ const Predicate* MatchingEngine::pick_eq_predicate(const Filter& f) const {
 }
 
 void MatchingEngine::insert(Handle handle, Filter filter) {
-  remove(handle);  // replacing an entry must first drop its index refs
-  Entry e{std::move(filter), {}, Slot::kScan, kNoIntern, {}};
-  e.compiled = CompiledFilter(e.filter);
+  remove(handle);  // replacing an entry must first drop its key count
+  Entry e;
+  e.filter = std::move(filter);
   if (const Predicate* p = pick_eq_predicate(e.filter)) {
     e.slot = Slot::kEq;
     e.index_attr = Interner::global().intern(p->attribute);
     e.eq_key = value_key(p->value);
-    const auto it = entries_.insert_or_assign(handle, std::move(e)).first;
-    const Entry& stored = it->second;
-    attr_indexes_[stored.index_attr].eq[stored.eq_key].push_back(Ref{handle, &stored});
+    ++eq_keys_[e.index_attr][e.eq_key];
+    entries_.insert_or_assign(handle, std::move(e));
     return;
   }
 
@@ -101,50 +100,19 @@ void MatchingEngine::insert(Handle handle, Filter filter) {
     const Bounds& b = bounds.at(*best);
     e.slot = Slot::kInterval;
     e.index_attr = *best;
-    const auto it = entries_.insert_or_assign(handle, std::move(e)).first;
-    auto& intervals = attr_indexes_[it->second.index_attr].intervals;
-    const Interval iv{b.lo, b.hi, handle, &it->second};
-    intervals.insert(std::upper_bound(intervals.begin(), intervals.end(), iv), iv);
-  } else {
-    const auto it = entries_.insert_or_assign(handle, std::move(e)).first;
-    scan_list_.push_back(Ref{handle, &it->second});
+    e.lo = b.lo;
+    e.hi = b.hi;
   }
+  entries_.insert_or_assign(handle, std::move(e));
 }
 
 void MatchingEngine::remove(Handle handle) {
   const auto it = entries_.find(handle);
   if (it == entries_.end()) return;
   const Entry& e = it->second;
-  auto erase_from = [handle](std::vector<Ref>& v) {
-    v.erase(std::remove_if(v.begin(), v.end(),
-                           [handle](const Ref& r) { return r.handle == handle; }),
-            v.end());
-  };
-  switch (e.slot) {
-    case Slot::kScan:
-      erase_from(scan_list_);
-      break;
-    case Slot::kEq: {
-      auto ait = attr_indexes_.find(e.index_attr);
-      if (ait != attr_indexes_.end()) {
-        auto kit = ait->second.eq.find(e.eq_key);
-        if (kit != ait->second.eq.end()) {
-          erase_from(kit->second);
-          if (kit->second.empty()) ait->second.eq.erase(kit);
-        }
-      }
-      break;
-    }
-    case Slot::kInterval: {
-      auto ait = attr_indexes_.find(e.index_attr);
-      if (ait != attr_indexes_.end()) {
-        auto& ivs = ait->second.intervals;
-        ivs.erase(std::remove_if(ivs.begin(), ivs.end(),
-                                 [handle](const Interval& iv) { return iv.handle == handle; }),
-                  ivs.end());
-      }
-      break;
-    }
+  if (e.slot == Slot::kEq) {
+    auto& keys = eq_keys_.at(e.index_attr);
+    if (const auto kit = keys.find(e.eq_key); --kit->second == 0) keys.erase(kit);
   }
   entries_.erase(it);
 }
@@ -154,73 +122,8 @@ const Filter* MatchingEngine::find(Handle handle) const {
   return it == entries_.end() ? nullptr : &it->second.filter;
 }
 
-const CompiledFilter* MatchingEngine::compiled(Handle handle) const {
-  const auto it = entries_.find(handle);
-  return it == entries_.end() ? nullptr : &it->second.compiled;
-}
-
-void MatchingEngine::match_indexed(const Publication& pub, std::vector<Handle>& out) const {
-  auto try_candidates = [&](const std::vector<Ref>& candidates) {
-    for (const Ref& r : candidates) {
-      ++t_match_walks;
-      if (r.entry->compiled.matches(pub)) out.push_back(r.handle);
-    }
-  };
-  const auto& keys = pub.attr_keys();
-  for (const Publication::AttrKey& k : keys) {
-    const auto ait = attr_indexes_.find(k.attr);
-    if (ait == attr_indexes_.end()) continue;
-    const AttrIndex& index = ait->second;
-    if (!index.eq.empty()) {
-      const auto kit = index.eq.find(k.key);
-      if (kit != index.eq.end()) try_candidates(kit->second);
-    }
-    if (!index.intervals.empty() && k.key.tag == ValueKey::Tag::kNumber) {
-      // Stab query: every interval with lo <= x is in the sorted prefix.
-      const double x = std::bit_cast<double>(k.key.bits);
-      const auto end = std::upper_bound(
-          index.intervals.begin(), index.intervals.end(), x,
-          [](double v, const Interval& iv) { return v < iv.lo; });
-      for (auto iv = index.intervals.begin(); iv != end; ++iv) {
-        if (iv->hi < x) continue;
-        ++t_match_walks;
-        if (iv->entry->compiled.matches(pub)) out.push_back(iv->handle);
-      }
-    }
-  }
-  try_candidates(scan_list_);
-}
-
-void MatchingEngine::match_into(const Publication& pub, std::vector<Handle>& out) const {
-  if (!index_enabled()) {
-    for (const auto& [h, e] : entries_) {
-      ++t_match_walks;
-      if (e.compiled.matches(pub)) out.push_back(h);
-    }
-    return;
-  }
-  match_indexed(pub, out);
-}
-
-void MatchingEngine::match_among(const Publication& pub,
-                                 const std::vector<Handle>& candidates,
-                                 std::vector<Handle>& out) const {
-  for (const Handle h : candidates) {
-    const auto it = entries_.find(h);
-    if (it == entries_.end()) continue;
-    ++t_match_walks;
-    if (it->second.compiled.matches(pub)) out.push_back(h);
-  }
-}
-
-std::vector<MatchingEngine::Handle> MatchingEngine::match(const Publication& pub) const {
-  std::vector<Handle> out;
-  match_into(pub, out);
-  return out;
-}
-
-MatchingEngine::Snapshot MatchingEngine::build_snapshot() const {
-  Snapshot s;
+MatchingEngine::Index MatchingEngine::compile() const {
+  Index ix;
   std::vector<Handle> order;
   order.reserve(entries_.size());
   for (const auto& [h, e] : entries_) {
@@ -228,59 +131,51 @@ MatchingEngine::Snapshot MatchingEngine::build_snapshot() const {
     order.push_back(h);
   }
   std::sort(order.begin(), order.end());
-  std::unordered_map<Handle, std::uint32_t> dense;
-  dense.reserve(order.size());
-  s.subs.reserve(order.size());
+  ix.subs.reserve(order.size());
   for (const Handle h : order) {
-    dense.emplace(h, static_cast<std::uint32_t>(s.subs.size()));
-    s.subs.push_back(Snapshot::Sub{h, entries_.at(h).compiled});
-  }
-  // Copy the live index contents (rather than re-derive them from the
-  // filters): bucket membership and interval bounds were chosen by
-  // insertion-time heuristics, and preserving the exact per-bucket order
-  // keeps snapshot probe order — and thus walk counts — identical to the
-  // live engine's.
-  s.attr_indexes.reserve(attr_indexes_.size());
-  for (const auto& [attr, ai] : attr_indexes_) {
-    Snapshot::AttrIdx& out = s.attr_indexes[attr];
-    out.eq.reserve(ai.eq.size());
-    for (const auto& [key, refs] : ai.eq) {
-      std::vector<std::uint32_t>& bucket = out.eq[key];
-      bucket.reserve(refs.size());
-      for (const Ref& r : refs) bucket.push_back(dense.at(r.handle));
-    }
-    out.intervals.reserve(ai.intervals.size());
-    for (const Interval& iv : ai.intervals) {
-      out.intervals.push_back(Snapshot::Interval{iv.lo, iv.hi, dense.at(iv.handle)});
+    const Entry& e = entries_.at(h);
+    const auto sub = static_cast<std::uint32_t>(ix.subs.size());
+    ix.subs.push_back(Index::Sub{h, CompiledFilter(e.filter)});
+    switch (e.slot) {
+      case Slot::kScan:
+        ix.scan_list.push_back(sub);
+        break;
+      case Slot::kEq:
+        ix.attr_indexes[e.index_attr].eq[e.eq_key].push_back(sub);
+        break;
+      case Slot::kInterval:
+        ix.attr_indexes[e.index_attr].intervals.push_back(Index::Interval{e.lo, e.hi, sub});
+        break;
     }
   }
-  s.scan_list.reserve(scan_list_.size());
-  for (const Ref& r : scan_list_) s.scan_list.push_back(dense.at(r.handle));
-  return s;
+  // Dense indices ascend with handles, so (lo, hi, sub) orders ties by
+  // handle.
+  for (auto& [attr, ai] : ix.attr_indexes) {
+    (void)attr;
+    std::sort(ai.intervals.begin(), ai.intervals.end(),
+              [](const Index::Interval& a, const Index::Interval& b) {
+                return a.lo != b.lo ? a.lo < b.lo : (a.hi != b.hi ? a.hi < b.hi : a.sub < b.sub);
+              });
+  }
+  return ix;
 }
 
-void MatchingEngine::Snapshot::match_into(const Publication& pub, MatchScratch& scratch,
-                                          std::vector<std::uint32_t>& out,
-                                          CandidateEvaluator* eval) const {
+void MatchingEngine::Index::match_into(const Publication& pub,
+                                       std::vector<std::uint32_t>& out) const {
   if (!MatchingEngine::index_enabled()) {
-    auto pred = [&](std::size_t i) {
+    for (std::uint32_t i = 0; i < subs.size(); ++i) {
       ++t_match_walks;
-      return subs[i].filter.matches(pub);
-    };
-    for_each_matching(eval, &scratch, subs.size(), pred,
-                      [&](std::size_t i) { out.push_back(static_cast<std::uint32_t>(i)); });
+      if (subs[i].filter.matches(pub)) out.push_back(i);
+    }
     return;
   }
   auto probe = [&](const std::vector<std::uint32_t>& cands) {
-    auto pred = [&](std::size_t i) {
+    for (const std::uint32_t i : cands) {
       ++t_match_walks;
-      return subs[cands[i]].filter.matches(pub);
-    };
-    for_each_matching(eval, &scratch, cands.size(), pred,
-                      [&](std::size_t i) { out.push_back(cands[i]); });
+      if (subs[i].filter.matches(pub)) out.push_back(i);
+    }
   };
-  const auto& keys = pub.attr_keys();
-  for (const Publication::AttrKey& k : keys) {
+  for (const Publication::AttrKey& k : pub.attr_keys()) {
     const auto ait = attr_indexes.find(k.attr);
     if (ait == attr_indexes.end()) continue;
     const AttrIdx& index = ait->second;
@@ -294,15 +189,11 @@ void MatchingEngine::Snapshot::match_into(const Publication& pub, MatchScratch& 
       const auto end = std::upper_bound(
           index.intervals.begin(), index.intervals.end(), x,
           [](double v, const Interval& iv) { return v < iv.lo; });
-      const std::size_t prefix = static_cast<std::size_t>(end - index.intervals.begin());
-      auto pred = [&](std::size_t i) {
-        const Interval& iv = index.intervals[i];
-        if (iv.hi < x) return false;
+      for (auto iv = index.intervals.begin(); iv != end; ++iv) {
+        if (iv->hi < x) continue;
         ++t_match_walks;
-        return subs[iv.sub].filter.matches(pub);
-      };
-      for_each_matching(eval, &scratch, prefix, pred,
-                        [&](std::size_t i) { out.push_back(index.intervals[i].sub); });
+        if (subs[iv->sub].filter.matches(pub)) out.push_back(iv->sub);
+      }
     }
   }
   probe(scan_list);

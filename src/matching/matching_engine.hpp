@@ -1,8 +1,9 @@
 // Broker-side matching engine.
 //
-// Stores filters under opaque handles and, given a publication, returns the
-// handles of all matching filters. The engine keeps typed per-attribute
-// indexes keyed on interned ids (no string construction on the match path):
+// Stores filters under opaque handles and compiles them into an index that,
+// given a publication, returns all matching filters. The index is typed per
+// attribute and keyed on interned ids (no string construction on the match
+// path):
 //
 //   - equality: filters carrying an equality predicate are bucketed under
 //     one (attribute id, value key) pair — the engine adaptively picks the
@@ -14,19 +15,19 @@
 //   - residual scan list: only filters with neither an equality nor a
 //     numeric range predicate (pure string operators, negation, presence).
 //
-// Every probed candidate is confirmed with a full Filter::matches, so the
+// Every probed candidate is confirmed with a full filter match, so the
 // indexes only need to be conservative (never miss a possible match).
 //
-// Concurrency model: the live engine is a single-writer structure — insert,
-// remove and the live match path belong to the owning thread. For
-// concurrent readers, build_snapshot() produces an immutable Snapshot
-// (dense candidate arrays, same probe order and walk counts as the live
-// index) that the routing table publishes behind an epoch handle; snapshot
-// matching touches no mutable engine state at all.
+// Build-then-freeze: insert/remove only record each filter and its index
+// slot, chosen at insert time; compile() turns the whole set into an
+// immutable Index (dense candidate arrays). The Index is the only matcher.
+// It is built by one thread, then read as const by any number of threads
+// at once — happens-before comes from whatever handed it over (thread
+// start, a barrier), never from an atomic pointer. Matching touches only
+// the Index plus thread_local counters.
 #pragma once
 
 #include <cstdint>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -37,70 +38,13 @@
 
 namespace greenps {
 
-// Caller-owned scratch for the allocation-free match paths. Each matching
+// Caller-owned scratch for the allocation-free match path. Each matching
 // thread (simulation shard, test thread) owns one and reuses it across
 // calls; nothing in the engine or routing table retains state between
-// matches, which is what makes the const read paths genuinely data-race
-// free.
+// matches, which is what makes the const read path data-race free.
 struct MatchScratch {
-  std::vector<std::uint64_t> handles;  // live-engine match output
-  std::vector<std::uint32_t> dense;    // snapshot-path candidate indices
-  std::vector<std::uint32_t> eval;     // parallel-evaluator output
+  std::vector<std::uint32_t> dense;  // compiled-index candidate indices
 };
-
-// Type-erased, non-owning reference to a candidate predicate. Evaluators
-// may invoke it from several threads at once, so the underlying callable
-// must be safe for concurrent calls: immutable captures plus thread_local
-// counters only.
-class CandidatePred {
- public:
-  // Constrained away from CandidatePred itself: without the exclusion,
-  // direct-initializing one CandidatePred from a non-const lvalue of
-  // another prefers this template over the copy constructor and wraps a
-  // *reference to the other wrapper* — dangling as soon as that wrapper
-  // (often a by-value parameter) goes out of scope.
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::remove_cv_t<F>, CandidatePred>>>
-  explicit CandidatePred(F& f)
-      : ctx_(&f),
-        fn_([](void* c, std::size_t i) { return (*static_cast<F*>(c))(i); }) {}
-
-  bool operator()(std::size_t i) const { return fn_(ctx_, i); }
-
- private:
-  void* ctx_;
-  bool (*fn_)(void*, std::size_t);
-};
-
-// Hook for fanning candidate evaluation across threads. evaluate() must
-// append, in ascending order, every index i in [0, n) with pred(i) true —
-// the ascending-order contract is what keeps parallel matching bit-identical
-// to the serial loop. Batches below threshold() stay on the calling thread.
-class CandidateEvaluator {
- public:
-  virtual ~CandidateEvaluator() = default;
-  [[nodiscard]] virtual std::size_t threshold() const = 0;
-  virtual void evaluate(std::size_t n, CandidatePred pred,
-                        std::vector<std::uint32_t>& out) = 0;
-};
-
-// Runs `pred` over [0, n) and calls emit(i) for every true candidate, in
-// ascending i. Small batches (or no evaluator) take the serial tight loop;
-// large ones fan out through the evaluator via `scratch->eval`.
-template <typename Pred, typename Emit>
-void for_each_matching(CandidateEvaluator* eval, MatchScratch* scratch,
-                       std::size_t n, Pred&& pred, Emit&& emit) {
-  if (eval == nullptr || scratch == nullptr || n < eval->threshold()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (pred(i)) emit(i);
-    }
-    return;
-  }
-  scratch->eval.clear();
-  eval->evaluate(n, CandidatePred(pred), scratch->eval);
-  for (const std::uint32_t i : scratch->eval) emit(i);
-}
 
 class MatchingEngine {
  public:
@@ -111,34 +55,14 @@ class MatchingEngine {
   // Remove a previously inserted filter. Unknown handles are ignored.
   void remove(Handle handle);
 
-  // Handles of all filters matching `pub` (unordered).
-  [[nodiscard]] std::vector<Handle> match(const Publication& pub) const;
-  // Allocation-free variant: appends matches to `out` (not cleared).
-  void match_into(const Publication& pub, std::vector<Handle>& out) const;
-  // Restricted variant: considers only `candidates` (each must be a live
-  // handle or is skipped). Used by advertisement-scoped pruning.
-  void match_among(const Publication& pub, const std::vector<Handle>& candidates,
-                   std::vector<Handle>& out) const;
-
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] const Filter* find(Handle handle) const;
-  // Pre-resolved form of a live filter. The pointer stays valid until the
-  // handle is removed (entries live in node-based storage); callers cache it
-  // to evaluate candidates without re-resolving attribute names.
-  [[nodiscard]] const CompiledFilter* compiled(Handle handle) const;
 
-  // Visit every live (handle, filter) pair.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& [h, e] : entries_) fn(h, e.filter);
-  }
-
-  // Immutable, self-contained copy of the typed indexes with candidates as
-  // dense indices into `subs` (ascending handle order). Matching a snapshot
-  // touches only the snapshot itself plus thread_local counters, so any
-  // number of threads can match one concurrently; probe order and walk
-  // counts are identical to the live engine's.
-  struct Snapshot {
+  // Immutable, self-contained compiled form of the typed indexes, with
+  // candidates as dense indices into `subs` (ascending handle order).
+  // Matching touches only the Index itself plus thread_local counters, so
+  // any number of threads can match one concurrently.
+  struct Index {
     struct Sub {
       Handle handle;
       CompiledFilter filter;
@@ -158,20 +82,19 @@ class MatchingEngine {
     std::vector<std::uint32_t> scan_list;
 
     // Appends the dense indices of all matching subs to `out` (not
-    // cleared). Passing an evaluator fans large candidate batches across
-    // threads; the result is bit-identical either way.
-    void match_into(const Publication& pub, MatchScratch& scratch,
-                    std::vector<std::uint32_t>& out,
-                    CandidateEvaluator* eval = nullptr) const;
+    // cleared).
+    void match_into(const Publication& pub, std::vector<std::uint32_t>& out) const;
   };
 
-  [[nodiscard]] Snapshot build_snapshot() const;
+  // Compile every stored filter into an Index. Each filter keeps the slot
+  // chosen when it was inserted.
+  [[nodiscard]] Index compile() const;
 
   // Number of candidate filters evaluated (Filter::matches calls) by the
   // calling thread. Test/bench hook for the index-pruning invariant,
-  // mirroring SubscriptionProfile::pairwise_walks(). With parallel
-  // candidate evaluation, each evaluating thread accrues its own walks; the
-  // simulator harvests them per worker slot so totals stay invariant.
+  // mirroring SubscriptionProfile::pairwise_walks(). Each matching thread
+  // accrues its own walks; the sharded simulator harvests them per worker
+  // slot so totals stay invariant.
   [[nodiscard]] static std::size_t match_walks();
   static void reset_match_walks();
   // Credit `n` candidate evaluations done outside the engine (the routing
@@ -179,7 +102,7 @@ class MatchingEngine {
   static void add_match_walks(std::size_t n);
 
   // Test hook: disable the typed indexes process-wide and brute-force every
-  // live filter instead. The match *set* is identical either way; the
+  // compiled filter instead. The match *set* is identical either way; the
   // determinism and differential tests assert exactly that. The flag is
   // atomic (safe to read from matching threads); flip it only while no
   // match is in flight or the walk-count accounting of concurrent matches
@@ -192,46 +115,22 @@ class MatchingEngine {
 
   struct Entry {
     Filter filter;
-    CompiledFilter compiled;
     Slot slot = Slot::kScan;
     InternId index_attr = kNoIntern;
-    ValueKey eq_key;  // valid when slot == kEq
-  };
-
-  // Index payload: the handle plus a pointer straight to its entry, so a
-  // probe evaluates candidates without a hash lookup per candidate. Entry
-  // pointers are stable (unordered_map nodes) until removal, which erases
-  // the Ref from every index vector.
-  struct Ref {
-    Handle handle;
-    const Entry* entry;
-  };
-
-  struct Interval {
-    double lo;  // conservative, inclusive bounds
-    double hi;
-    Handle handle;
-    const Entry* entry;
-
-    friend bool operator<(const Interval& a, const Interval& b) {
-      return a.lo != b.lo ? a.lo < b.lo : (a.hi != b.hi ? a.hi < b.hi : a.handle < b.handle);
-    }
-  };
-
-  struct AttrIndex {
-    std::unordered_map<ValueKey, std::vector<Ref>, ValueKeyHash> eq;
-    std::vector<Interval> intervals;  // sorted
+    ValueKey eq_key;  // slot == kEq
+    double lo = 0;    // slot == kInterval: conservative, inclusive bounds
+    double hi = 0;
   };
 
   // Selectivity heuristic: prefer bucketing under the equality attribute
   // with the most distinct values observed so far.
   [[nodiscard]] const Predicate* pick_eq_predicate(const Filter& f) const;
-  void match_indexed(const Publication& pub, std::vector<Handle>& out) const;
 
   std::unordered_map<Handle, Entry> entries_;
-  std::unordered_map<InternId, AttrIndex> attr_indexes_;
-  // Filters without any equality or numeric range predicate; always probed.
-  std::vector<Ref> scan_list_;
+  // Distinct equality keys per attribute, each with the number of stored
+  // filters bucketed under it — the "observed so far" of the heuristic.
+  std::unordered_map<InternId, std::unordered_map<ValueKey, std::size_t, ValueKeyHash>>
+      eq_keys_;
 };
 
 }  // namespace greenps

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "broker/parallel_match.hpp"
 #include "common/logging.hpp"
 #include "matching/matching_engine.hpp"
 #include "matching/relations.hpp"
@@ -56,21 +55,11 @@ std::size_t SimOptions::resolve_workers(std::size_t requested) {
   return 1;
 }
 
-std::size_t SimOptions::resolve_match_threshold(std::size_t requested) {
-  if (requested > 0) return requested;
-  if (const char* v = std::getenv("GREENPS_MATCH_THRESHOLD"); v != nullptr && *v != '\0') {
-    const long n = std::strtol(v, nullptr, 10);
-    if (n > 0) return static_cast<std::size_t>(n);
-  }
-  return ~std::size_t{0};  // disabled
-}
-
 Simulation::Simulation(Deployment deployment, StockQuoteGenerator quotes, NetworkConfig net,
                        SimOptions opts)
     : quotes_(std::move(quotes)),
       net_(net),
-      workers_(SimOptions::resolve_workers(opts.workers)),
-      match_threshold_(SimOptions::resolve_match_threshold(opts.match_threshold)) {
+      workers_(SimOptions::resolve_workers(opts.workers)) {
   redeploy(std::move(deployment));
 }
 
@@ -119,25 +108,6 @@ void Simulation::redeploy(Deployment deployment) {
   for (std::size_t s = 0; s < num_shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
     shards_[s]->index = s;
-  }
-  if (match_threshold_ != ~std::size_t{0}) {
-    if (num_shards > 1) {
-      // Sharded run: the shard pool is busy driving the event loop, so hot
-      // shards publish batches into their slot of the help-queue request
-      // ring and idle shards donate barrier wait time (SpinBarrier idle
-      // poll). One slot per shard lets several hot brokers fan out in the
-      // same lookahead window; no workers exist yet, so resizing is safe.
-      help_queue_->configure_slots(num_shards);
-      for (auto& sh : shards_) {
-        sh->evaluator =
-            std::make_unique<HelpQueueEvaluator>(*help_queue_, match_threshold_, sh->index);
-      }
-    } else {
-      // Single-shard run: fan out across a dedicated matching pool.
-      if (match_pool_ == nullptr) match_pool_ = std::make_unique<ThreadPool>(0);
-      shards_[0]->evaluator =
-          std::make_unique<PoolCandidateEvaluator>(*match_pool_, match_threshold_);
-    }
   }
   metrics_.reset();
   measured_s_ = 0;
@@ -255,13 +225,11 @@ void Simulation::install_routing() {
     }
   }
 
-  // Publish immutable routing snapshots: the hot path routes through them
-  // (same match sets and walk counts as the live tables), and parallel
-  // matching helpers and concurrent readers require them. Tables mutated
-  // after this point fall back to the live path until re-published.
+  // Freeze: compile every SRT once. Shards only ever read the compiled
+  // tables; nothing writes routing state again until the next redeploy.
   for (auto& [id, slot] : brokers_) {
     (void)id;
-    slot.broker->publish_routing();
+    slot.broker->srt().freeze();
   }
 }
 
@@ -352,7 +320,7 @@ void Simulation::arrive_at_broker(BrokerSlot& slot, std::shared_ptr<const Public
   // evaluating at matched_at and avoids copying the tables into the closure.
   // The scratch result is consumed before this function returns (the
   // scheduled closures don't reference it), so reuse across arrivals is safe.
-  br.route_into(*pub, exclude, sh.route_scratch, sh.match_scratch, sh.evaluator.get());
+  br.route_into(*pub, exclude, sh.route_scratch, sh.match_scratch);
   const auto& decision = sh.route_scratch;
 
   const MsgSize size = pub->size_kb();
@@ -780,14 +748,6 @@ void Simulation::run(double duration_s) {
       loop_.run(end, 0, nullptr);
     } else {
       ensure_pool();
-      // Work donation: shards spinning at window barriers run chunks of any
-      // hot broker's published candidate batch. Helpers' match walks land
-      // in their own slot's thread_local counter and are harvested below,
-      // so totals stay invariant across donation patterns.
-      std::function<bool()> idle_poll;
-      if (match_threshold_ != ~std::size_t{0}) {
-        idle_poll = [q = help_queue_.get()] { return q->help(); };
-      }
       // Match-walk counters are thread_local; harvest each worker slot's
       // delta and fold it into the caller's counter after the join.
       loop_.run(
@@ -795,8 +755,7 @@ void Simulation::run(double duration_s) {
           [this](std::size_t s) { shards_[s]->walk_base = MatchingEngine::match_walks(); },
           [this](std::size_t s) {
             shards_[s]->walk_delta = MatchingEngine::match_walks() - shards_[s]->walk_base;
-          },
-          idle_poll);
+          });
       for (std::size_t s = 1; s < shards_.size(); ++s) {
         MatchingEngine::add_match_walks(shards_[s]->walk_delta);
       }

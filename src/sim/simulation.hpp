@@ -12,6 +12,13 @@
 // advanced in conservative lookahead windows (sim/sharded_engine.hpp), with
 // content-derived event keys making every result bit-identical to the
 // single-threaded run for any worker count.
+//
+// Concurrency model: routing state is build-then-freeze. redeploy() creates
+// fresh brokers, install_routing() fills their tables and freezes each SRT
+// into an immutable compiled table, all on the owner thread between run()
+// windows. During run() shards only read those tables (const match_into
+// with per-shard scratch); the one shared structure still written there is
+// the global Interner, which locks internally.
 #pragma once
 
 #include <deque>
@@ -33,7 +40,6 @@
 #include "sim/faults.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
-#include "sim/match_help.hpp"
 #include "sim/publication_pool.hpp"
 #include "sim/sharded_engine.hpp"
 #include "workload/stock_quote.hpp"
@@ -74,15 +80,7 @@ struct SimOptions {
   // symbol or advertisement stream); results are identical either way.
   std::size_t workers = 0;
 
-  // Parallel intra-broker matching: candidate batches at or above this size
-  // fan out across threads — idle shard workers donated at the lookahead
-  // barrier (sharded runs) or a dedicated pool (single-shard runs). 0
-  // resolves GREENPS_MATCH_THRESHOLD from the environment, defaulting to
-  // SIZE_MAX (disabled). Results are bit-identical for any setting.
-  std::size_t match_threshold = 0;
-
   [[nodiscard]] static std::size_t resolve_workers(std::size_t requested);
-  [[nodiscard]] static std::size_t resolve_match_threshold(std::size_t requested);
 };
 
 class Simulation {
@@ -197,7 +195,8 @@ class Simulation {
   // Total simulated seconds measured since the last metrics reset.
   [[nodiscard]] double measured_seconds() const { return measured_s_; }
 
-  // Discrete events executed since construction (bench instrumentation).
+  // Discrete events executed since the last redeploy (bench
+  // instrumentation; redeploy() restarts the event loop and its count).
   // Shard-replicated bookkeeping events (fault replicas, per-shard sampler
   // ticks beyond shard 0) are excluded, so the count is identical for any
   // worker count.
@@ -275,10 +274,6 @@ class Simulation {
     FaultState faults;
     SubscriptionRoutingTable::MatchResult route_scratch;
     MatchScratch match_scratch;
-    // Candidate evaluator for parallel intra-broker matching (null when
-    // disabled): a HelpQueueEvaluator over the simulation's help queue in
-    // sharded runs, a PoolCandidateEvaluator in single-shard runs.
-    std::unique_ptr<CandidateEvaluator> evaluator;
     PublicationPool pub_pool;
     std::vector<PublishRecord> ledger;
     std::unordered_map<BrokerId, std::vector<BufferedArrival>> retransmit;
@@ -348,15 +343,6 @@ class Simulation {
   StockQuoteGenerator quotes_;
   NetworkConfig net_;
   std::size_t workers_ = 1;  // resolved request; per-epoch count may be lower
-  // Resolved parallel-matching threshold (SIZE_MAX = disabled).
-  std::size_t match_threshold_ = ~std::size_t{0};
-  // unique_ptr: keeps Simulation movable (atomics inside) and the address
-  // stable for the per-shard evaluators referencing it.
-  std::unique_ptr<MatchHelpQueue> help_queue_ = std::make_unique<MatchHelpQueue>();
-  // Dedicated matching pool for single-shard runs with a threshold set
-  // (created lazily; the shard pool is busy driving the event loop during
-  // sharded runs, so those donate barrier idle time instead).
-  std::unique_ptr<ThreadPool> match_pool_;
   ShardedEventLoop loop_;
   // unique_ptr keeps Shard addresses stable across vector moves — scheduled
   // closures and BrokerSlots hold raw Shard pointers.

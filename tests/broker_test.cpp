@@ -20,6 +20,7 @@ TEST(SubscriptionRoutingTable, ForwardsToUniqueNeighbors) {
   srt.insert(SubId{1}, parse_filter("[symbol,=,'YHOO']"), Hop::to_broker(BrokerId{2}));
   srt.insert(SubId{2}, parse_filter("[class,=,'STOCK']"), Hop::to_broker(BrokerId{2}));
   srt.insert(SubId{3}, parse_filter("[symbol,=,'YHOO']"), Hop::to_broker(BrokerId{3}));
+  srt.freeze();
   const auto r = srt.match(yhoo_pub());
   // Two matching subs point at broker 2 -> one copy; broker 3 -> one copy.
   EXPECT_EQ(r.forward_to, (std::vector<BrokerId>{BrokerId{2}, BrokerId{3}}));
@@ -30,6 +31,7 @@ TEST(SubscriptionRoutingTable, DeliversToLocalClients) {
   SubscriptionRoutingTable srt;
   srt.insert(SubId{1}, parse_filter("[symbol,=,'YHOO']"), Hop::to_client(ClientId{7}));
   srt.insert(SubId{2}, parse_filter("[symbol,=,'GOOG']"), Hop::to_client(ClientId{8}));
+  srt.freeze();
   const auto r = srt.match(yhoo_pub());
   ASSERT_EQ(r.deliver.size(), 1u);
   EXPECT_EQ(r.deliver[0].first, SubId{1});
@@ -39,6 +41,7 @@ TEST(SubscriptionRoutingTable, DeliversToLocalClients) {
 TEST(SubscriptionRoutingTable, ExcludesIncomingLink) {
   SubscriptionRoutingTable srt;
   srt.insert(SubId{1}, parse_filter("[symbol,=,'YHOO']"), Hop::to_broker(BrokerId{2}));
+  srt.freeze();
   const BrokerId from{2};
   const auto r = srt.match(yhoo_pub(), &from);
   EXPECT_TRUE(r.forward_to.empty());
@@ -49,12 +52,48 @@ TEST(SubscriptionRoutingTable, InsertReplacesAndRemoveDeletes) {
   srt.insert(SubId{1}, parse_filter("[symbol,=,'YHOO']"), Hop::to_broker(BrokerId{2}));
   srt.insert(SubId{1}, parse_filter("[symbol,=,'YHOO']"), Hop::to_broker(BrokerId{5}));
   EXPECT_EQ(srt.filter_count(), 1u);
+  srt.freeze();
   auto r = srt.match(yhoo_pub());
   EXPECT_EQ(r.forward_to, (std::vector<BrokerId>{BrokerId{5}}));
   srt.remove(SubId{1});
   EXPECT_EQ(srt.filter_count(), 0u);
+  srt.freeze();
   EXPECT_TRUE(srt.match(yhoo_pub()).forward_to.empty());
 }
+
+// Every mutator marks a frozen table stale until the next freeze(), so a
+// caller can never silently read a compiled table that misses a mutation.
+TEST(SubscriptionRoutingTable, MutationAfterFreezeMarksTableStale) {
+  SubscriptionRoutingTable srt;
+  EXPECT_FALSE(srt.stale()) << "an empty table is trivially compiled";
+  srt.insert(SubId{1}, parse_filter("[symbol,=,'YHOO']"), Hop::to_client(ClientId{7}));
+  EXPECT_TRUE(srt.stale());
+  srt.freeze();
+  EXPECT_FALSE(srt.stale());
+  EXPECT_EQ(srt.match(yhoo_pub()).deliver.size(), 1u);
+
+  srt.register_advertisement(AdvId{1}, parse_filter("[symbol,=,'YHOO']"));
+  EXPECT_TRUE(srt.stale());
+  srt.freeze();
+  srt.remove(SubId{1});
+  EXPECT_TRUE(srt.stale());
+  srt.remove(SubId{1});  // unknown id: nothing changes, still stale
+  EXPECT_TRUE(srt.stale());
+  srt.freeze();
+  EXPECT_FALSE(srt.stale());
+  EXPECT_TRUE(srt.match(yhoo_pub()).deliver.empty());
+}
+
+#ifndef NDEBUG
+// Debug builds refuse to match a stale table outright.
+TEST(SubscriptionRoutingTableDeathTest, MatchingAStaleTableAsserts) {
+  SubscriptionRoutingTable srt;
+  srt.insert(SubId{1}, parse_filter("[symbol,=,'YHOO']"), Hop::to_client(ClientId{7}));
+  srt.freeze();
+  srt.insert(SubId{2}, parse_filter("[symbol,=,'YHOO']"), Hop::to_client(ClientId{8}));
+  EXPECT_DEATH((void)srt.match(yhoo_pub()), "mutated after freeze");
+}
+#endif
 
 TEST(AdvertisementRoutingTable, DirectionsForIntersectingAdvs) {
   AdvertisementRoutingTable prt;

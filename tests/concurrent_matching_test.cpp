@@ -1,30 +1,22 @@
-// Concurrency suite for the epoch-guarded broker core: epoch reclamation
-// (grace periods, torture), the lock-free published-snapshot match path
-// against a single-threaded oracle under concurrent registration churn,
-// parallel candidate evaluation (thread pool + help queue) determinism, the
-// concurrent interner, and SimSummary invariance across the parallel-match
-// threshold. Every test asserts *exact* equality — the concurrent machinery
-// must be invisible to observable behavior.
+// Concurrency suite for the build-then-freeze broker core: several threads
+// match one frozen routing table at once and must each see exactly the
+// brute-force oracle's answer, the compiled table must give identical
+// results across the process-wide fast-path toggles, and the interner —
+// the one shared structure written while matching threads run — must stay
+// consistent under racing first-sight interns. Every test asserts *exact*
+// equality.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "broker/parallel_match.hpp"
 #include "broker/routing_tables.hpp"
-#include "common/epoch.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "language/interner.hpp"
 #include "language/parser.hpp"
-#include "sim/match_help.hpp"
-#include "sim/simulation.hpp"
 
 namespace greenps {
 namespace {
@@ -33,124 +25,6 @@ using MatchResult = SubscriptionRoutingTable::MatchResult;
 
 bool results_equal(const MatchResult& a, const MatchResult& b) {
   return a.forward_to == b.forward_to && a.deliver == b.deliver;
-}
-
-// --- epoch-based reclamation --------------------------------------------
-
-struct Tracked {
-  explicit Tracked(std::atomic<int>& live, std::uint64_t v) : alive(live), value(v) {
-    alive.fetch_add(1, std::memory_order_relaxed);
-  }
-  ~Tracked() { alive.fetch_sub(1, std::memory_order_relaxed); }
-  std::atomic<int>& alive;
-  std::uint64_t value;
-};
-
-// A held guard keeps a retired snapshot alive; releasing it makes the next
-// reclaim free it.
-TEST(EpochReclaim, GuardDefersReclamationUntilReaderLeaves) {
-  auto& domain = EpochDomain::global();
-  std::atomic<int> live{0};
-  EpochPtr<Tracked> ptr;
-  ptr.publish(new Tracked(live, 1));
-
-  std::atomic<bool> pinned{false};
-  std::atomic<bool> release{false};
-  std::uint64_t seen = 0;
-  std::thread reader([&] {
-    EpochGuard guard;
-    const Tracked* t = ptr.load();
-    ASSERT_NE(t, nullptr);
-    seen = t->value;
-    pinned.store(true);
-    while (!release.load()) std::this_thread::yield();
-    // Still inside the guard: the snapshot must not have been freed.
-    EXPECT_EQ(t->value, 1u);
-  });
-  while (!pinned.load()) std::this_thread::yield();
-
-  ptr.publish(new Tracked(live, 2));  // retires v1 while the reader is pinned
-  domain.try_reclaim();
-  EXPECT_EQ(live.load(), 2) << "v1 reclaimed under a live reader pin";
-
-  release.store(true);
-  reader.join();
-  domain.try_reclaim();
-  EXPECT_EQ(live.load(), 1) << "v1 not reclaimed after the reader left";
-  EXPECT_EQ(seen, 1u);
-}
-
-// Torture: a writer races through ~1000 versions while readers load
-// continuously. No reader may ever observe a freed snapshot (ASan/TSan
-// enforce that); after quiescence everything but the final version is
-// reclaimed.
-TEST(EpochReclaim, TortureManyVersionsConcurrentReaders) {
-  auto& domain = EpochDomain::global();
-  std::atomic<int> live{0};
-  std::atomic<bool> stop{false};
-  {
-    EpochPtr<Tracked> ptr;
-    ptr.publish(new Tracked(live, 0));
-
-    std::vector<std::thread> readers;
-    std::atomic<std::uint64_t> loads{0};
-    for (int r = 0; r < 4; ++r) {
-      readers.emplace_back([&] {
-        std::uint64_t last = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-          EpochGuard guard;
-          const Tracked* t = ptr.load();
-          ASSERT_NE(t, nullptr);
-          // Versions are published in increasing order; a reader must never
-          // travel back in time.
-          EXPECT_GE(t->value, last);
-          last = t->value;
-          loads.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-
-    for (std::uint64_t v = 1; v <= 1000; ++v) {
-      ptr.publish(new Tracked(live, v));
-      // Single-core schedulers would otherwise run the writer to completion
-      // before any reader gets a slice.
-      if (v % 16 == 0) std::this_thread::yield();
-    }
-    // The final version stays published; readers always make progress, so
-    // insist on a floor of loads before stopping them.
-    while (loads.load(std::memory_order_relaxed) < 100) {
-      std::this_thread::yield();
-    }
-    stop.store(true);
-    for (std::thread& t : readers) t.join();
-    EXPECT_GT(loads.load(), 0u);
-    // All readers quiesced: everything except the current version drains.
-    domain.try_reclaim();
-    EXPECT_EQ(live.load(), 1);
-  }
-  // EpochPtr's destructor retires the final version.
-  domain.try_reclaim();
-  EXPECT_EQ(live.load(), 0);
-}
-
-// Nested guards reuse the outer pin (the interner inside a routing match);
-// the inner guard's destruction must not release the outer protection.
-TEST(EpochReclaim, NestedGuardsShareOnePin) {
-  auto& domain = EpochDomain::global();
-  std::atomic<int> live{0};
-  EpochPtr<Tracked> ptr;
-  ptr.publish(new Tracked(live, 7));
-  {
-    EpochGuard outer;
-    const Tracked* t = ptr.load();
-    { EpochGuard inner; }  // no-op: must not unpin the thread
-    ptr.publish(new Tracked(live, 8));
-    domain.try_reclaim();
-    EXPECT_EQ(t->value, 7u) << "outer pin lost when the inner guard closed";
-    EXPECT_EQ(live.load(), 2);
-  }
-  domain.try_reclaim();
-  EXPECT_EQ(live.load(), 1);
 }
 
 // --- concurrent match vs single-threaded oracle -------------------------
@@ -172,266 +46,134 @@ std::vector<Publication> probe_publications() {
   return pubs;
 }
 
-// Readers hammer match_published() while the owner churns registrations and
-// re-publishes. Every reader result is compared — exactly — against what a
-// single-threaded oracle table produced for the same snapshot version.
-TEST(ConcurrentMatching, PublishedMatchAgreesWithOracleUnderChurn) {
+// Restore the process-wide fast-path toggles even if a test fails.
+struct ToggleGuard {
+  bool index = MatchingEngine::index_enabled();
+  bool pruning = SubscriptionRoutingTable::adv_pruning_enabled();
+  ~ToggleGuard() {
+    MatchingEngine::set_index_enabled(index);
+    SubscriptionRoutingTable::set_adv_pruning_enabled(pruning);
+  }
+};
+
+// Fill `table` through every mutator — inserts (some replacing), removes
+// and advertisement registration, both before and after the subscriptions
+// arrive — then freeze it.
+void build_table(SubscriptionRoutingTable& table, std::uint64_t seed) {
   const char* symbols[] = {"AAA", "BBB", "CCC", "DDD"};
+  table.register_advertisement(AdvId{0}, symbol_filter("AAA"));
+  Rng rng(seed);
+  std::vector<SubId> installed;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    if (!installed.empty() && rng.chance(0.2)) {
+      const std::size_t k = rng.index(installed.size());
+      table.remove(installed[k]);
+      installed.erase(installed.begin() + static_cast<std::ptrdiff_t>(k));
+      continue;
+    }
+    // Reuse an id now and then: insert must replace the entry.
+    const SubId id = !installed.empty() && rng.chance(0.1)
+                         ? installed[rng.index(installed.size())]
+                         : SubId{i};
+    std::string f = "[class,=,'STOCK'],[symbol,=,'" + std::string(symbols[rng.index(4)]) + "']";
+    if (rng.chance(0.4)) f += ",[volume,>," + std::to_string(rng.index(900000)) + "]";
+    const Hop hop = rng.chance(0.5) ? Hop::to_broker(BrokerId{rng.index(8)})
+                                    : Hop::to_client(ClientId{id.value()});
+    table.insert(id, parse_filter(f), hop);
+    if (id == SubId{i}) installed.push_back(id);
+  }
+  table.register_advertisement(AdvId{1}, symbol_filter("BBB"));
+  table.freeze();
+}
+
+std::vector<Publication> headed_publications() {
+  std::vector<Publication> pubs = probe_publications();
+  for (std::size_t i = 0; i < pubs.size(); ++i) {
+    // Advertisement headers 0 and 1 exist in the table (conforming or not),
+    // 2 and 3 do not.
+    pubs[i].set_header(AdvId{i}, 1);
+  }
+  // A known advertisement the publication does not conform to: takes the
+  // full index match.
+  Publication odd = pubs[2];
+  odd.set_header(AdvId{0}, 2);
+  pubs.push_back(std::move(odd));
+  return pubs;
+}
+
+// Four threads match one frozen table at once. Each result must equal,
+// exactly, the brute-force oracle's (typed index off, advertisement pruning
+// off) computed single-threaded before the readers start.
+TEST(ConcurrentMatching, FrozenTableReadersAgreeWithOracle) {
+  ToggleGuard restore;
   for (const std::uint64_t seed : {11u, 29u, 71u}) {
     SubscriptionRoutingTable table;
-    SubscriptionRoutingTable oracle;  // mutated in lockstep, read only by owner
-    const std::vector<Publication> pubs = probe_publications();
+    build_table(table, seed);
+    const std::vector<Publication> pubs = headed_publications();
 
-    // oracle_results[version][pub index], filled by the owner right after
-    // each publish; readers never touch it, the main thread reads it after
-    // both sides joined.
-    std::map<std::uint64_t, std::vector<MatchResult>> oracle_results;
+    MatchingEngine::set_index_enabled(false);
+    SubscriptionRoutingTable::set_adv_pruning_enabled(false);
+    std::vector<MatchResult> oracle(pubs.size());
+    for (std::size_t pi = 0; pi < pubs.size(); ++pi) {
+      table.match_into(pubs[pi], nullptr, oracle[pi]);
+    }
+    MatchingEngine::set_index_enabled(true);
+    SubscriptionRoutingTable::set_adv_pruning_enabled(true);
 
-    struct Observation {
-      std::uint64_t version;
-      std::size_t pub;
-      MatchResult result;
-    };
-    std::atomic<bool> stop{false};
-    std::atomic<std::size_t> observations{0};
-    const int kReaders = 3;
-    std::vector<std::vector<Observation>> observed(kReaders);
+    constexpr int kReaders = 4;
+    constexpr int kMatchesPerReader = 2000;
+    std::vector<std::size_t> mismatches(kReaders, 0);
     std::vector<std::thread> readers;
     for (int r = 0; r < kReaders; ++r) {
       readers.emplace_back([&, r] {
         Rng rng(seed * 1000 + static_cast<std::uint64_t>(r));
         MatchScratch scratch;
-        while (!stop.load(std::memory_order_relaxed)) {
+        MatchResult out;
+        for (int k = 0; k < kMatchesPerReader; ++k) {
           const std::size_t pi = rng.index(pubs.size());
-          Observation obs;
-          obs.pub = pi;
-          obs.version = table.match_published(pubs[pi], nullptr, obs.result, scratch);
-          if (obs.version != 0) {
-            observed[r].push_back(std::move(obs));
-            observations.fetch_add(1, std::memory_order_relaxed);
-          }
+          table.match_into(pubs[pi], nullptr, out, scratch);
+          if (!results_equal(out, oracle[pi])) ++mismatches[static_cast<std::size_t>(r)];
         }
       });
     }
-
-    // Owner: 200 mutate/publish steps. Each step inserts or removes a
-    // subscription in both tables, publishes, and records the oracle's
-    // single-threaded answer for every probe under that version.
-    Rng rng(seed);
-    std::uint64_t next_sub = 0;
-    std::vector<SubId> installed;
-    for (int step = 0; step < 200; ++step) {
-      if (!installed.empty() && rng.chance(0.3)) {
-        const std::size_t k = rng.index(installed.size());
-        table.remove(installed[k]);
-        oracle.remove(installed[k]);
-        installed.erase(installed.begin() + static_cast<std::ptrdiff_t>(k));
-      } else {
-        const SubId id{next_sub++};
-        const Filter f = symbol_filter(symbols[rng.index(4)]);
-        const Hop hop = rng.chance(0.5) ? Hop::to_broker(BrokerId{rng.index(8)})
-                                        : Hop::to_client(ClientId{id.value()});
-        table.insert(id, f, hop);
-        oracle.insert(id, f, hop);
-        installed.push_back(id);
-      }
-      table.publish();
-      const std::uint64_t v = table.published_version();
-      std::vector<MatchResult> expected(pubs.size());
-      for (std::size_t pi = 0; pi < pubs.size(); ++pi) {
-        // The oracle is never published: match_into routes through its live
-        // single-threaded path.
-        oracle.match_into(pubs[pi], nullptr, expected[pi]);
-      }
-      oracle_results.emplace(v, std::move(expected));
-      // On a single core the owner would otherwise finish every step before
-      // a reader ever runs; yield so readers interleave with the churn.
-      std::this_thread::yield();
-    }
-    // The final snapshot stays published, so readers are guaranteed to make
-    // progress; collect a floor of observations before stopping them.
-    while (observations.load(std::memory_order_relaxed) < 200) {
-      std::this_thread::yield();
-    }
-    stop.store(true);
     for (std::thread& t : readers) t.join();
-
-    std::size_t checked = 0;
-    for (const auto& per_reader : observed) {
-      for (const Observation& obs : per_reader) {
-        const auto it = oracle_results.find(obs.version);
-        ASSERT_NE(it, oracle_results.end()) << "unknown snapshot version " << obs.version;
-        EXPECT_TRUE(results_equal(obs.result, it->second[obs.pub]))
-            << "seed " << seed << " version " << obs.version << " pub " << obs.pub;
-        ++checked;
-      }
+    for (int r = 0; r < kReaders; ++r) {
+      EXPECT_EQ(mismatches[static_cast<std::size_t>(r)], 0u)
+          << "seed " << seed << " reader " << r;
     }
-    EXPECT_GT(checked, 0u) << "readers never observed a published snapshot";
   }
 }
 
-// The published-snapshot path must agree with the live path for the same
-// table state, across both process-wide fast-path toggles.
-TEST(ConcurrentMatching, SnapshotAgreesWithLiveAcrossToggles) {
-  struct ToggleGuard {
-    bool index = MatchingEngine::index_enabled();
-    bool pruning = SubscriptionRoutingTable::adv_pruning_enabled();
-    ~ToggleGuard() {
-      MatchingEngine::set_index_enabled(index);
-      SubscriptionRoutingTable::set_adv_pruning_enabled(pruning);
-    }
-  } restore;
+// One frozen table gives identical results under every combination of the
+// process-wide fast-path toggles: typed index on/off x advertisement
+// pruning on/off.
+TEST(ConcurrentMatching, FrozenTableAgreesAcrossToggles) {
+  ToggleGuard restore;
+  SubscriptionRoutingTable table;
+  build_table(table, 42);
+  const std::vector<Publication> pubs = headed_publications();
 
-  const char* symbols[] = {"AAA", "BBB", "CCC", "DDD"};
+  MatchingEngine::set_index_enabled(false);
+  SubscriptionRoutingTable::set_adv_pruning_enabled(false);
+  std::vector<MatchResult> reference(pubs.size());
+  for (std::size_t pi = 0; pi < pubs.size(); ++pi) {
+    table.match_into(pubs[pi], nullptr, reference[pi]);
+  }
+  ASSERT_FALSE(reference[0].deliver.empty() && reference[0].forward_to.empty());
+
+  MatchScratch scratch;
   for (const bool index_on : {true, false}) {
     for (const bool pruning_on : {true, false}) {
       MatchingEngine::set_index_enabled(index_on);
       SubscriptionRoutingTable::set_adv_pruning_enabled(pruning_on);
-
-      SubscriptionRoutingTable published;
-      SubscriptionRoutingTable live;
-      Rng rng(42);
-      for (std::uint64_t i = 0; i < 64; ++i) {
-        std::string f = "[symbol,=,'" + std::string(symbols[rng.index(4)]) + "']";
-        if (rng.chance(0.4)) f += ",[volume,>,400000]";
-        const Hop hop = Hop::to_client(ClientId{i});
-        published.insert(SubId{i}, parse_filter(f), hop);
-        live.insert(SubId{i}, parse_filter(f), hop);
-      }
-      published.register_advertisement(AdvId{0}, symbol_filter("AAA"));
-      live.register_advertisement(AdvId{0}, symbol_filter("AAA"));
-      published.publish();
-
-      MatchScratch scratch;
-      for (const Publication& pub : probe_publications()) {
-        MatchResult from_snapshot, from_live;
-        const std::uint64_t v =
-            published.match_published(pub, nullptr, from_snapshot, scratch);
-        ASSERT_NE(v, 0u);
-        live.match_into(pub, nullptr, from_live);
-        EXPECT_TRUE(results_equal(from_snapshot, from_live))
-            << "index=" << index_on << " pruning=" << pruning_on;
+      for (std::size_t pi = 0; pi < pubs.size(); ++pi) {
+        MatchResult got;
+        table.match_into(pubs[pi], nullptr, got, scratch);
+        EXPECT_TRUE(results_equal(got, reference[pi]))
+            << "index=" << index_on << " pruning=" << pruning_on << " pub " << pi;
       }
     }
   }
-}
-
-// --- parallel candidate evaluation --------------------------------------
-
-// A published table large enough to cross the fan-out threshold: the pool
-// evaluator must produce the identical MatchResult at every thread count,
-// including chunk boundaries (chunk size 16 against 500 candidates).
-TEST(ParallelMatchEval, PoolEvaluatorIsBitIdenticalAcrossThreadCounts) {
-  SubscriptionRoutingTable table;
-  Rng rng(5);
-  const char* symbols[] = {"AAA", "BBB"};
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    std::string f = "[symbol,=,'" + std::string(symbols[rng.index(2)]) + "']";
-    if (rng.chance(0.5)) f += ",[volume,>," + std::to_string(rng.index(900000)) + "]";
-    table.insert(SubId{i}, parse_filter(f), Hop::to_client(ClientId{i}));
-  }
-  table.publish();
-
-  Publication pub;
-  pub.set_attr("symbol", Value(std::string("AAA")));
-  pub.set_attr("volume", Value(std::int64_t{750000}));
-
-  MatchScratch scratch;
-  MatchResult serial;
-  ASSERT_NE(table.match_published(pub, nullptr, serial, scratch), 0u);
-  ASSERT_FALSE(serial.deliver.empty());
-
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    PoolCandidateEvaluator eval(pool, /*threshold=*/1, /*chunk=*/16);
-    MatchResult parallel;
-    ASSERT_NE(table.match_published(pub, nullptr, parallel, scratch, &eval), 0u);
-    EXPECT_TRUE(results_equal(parallel, serial)) << threads << " threads";
-  }
-}
-
-// The help queue with helpers hammering help() concurrently must emit the
-// same ascending hit list as the serial loop, for every request shape.
-TEST(ParallelMatchEval, HelpQueueAgreesWithSerialUnderConcurrentHelpers) {
-  MatchHelpQueue queue(/*chunk=*/8);
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> helpers;
-  for (int h = 0; h < 3; ++h) {
-    helpers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        if (!queue.help()) std::this_thread::yield();
-      }
-    });
-  }
-
-  // Predicate over an immutable vector — the same shape as a snapshot
-  // candidate scan. Repeat many times so helpers actually interleave.
-  Rng rng(77);
-  for (int round = 0; round < 300; ++round) {
-    const std::size_t n = 1 + rng.index(400);
-    std::vector<std::uint8_t> keep(n);
-    for (std::size_t i = 0; i < n; ++i) keep[i] = rng.chance(0.4) ? 1 : 0;
-    auto pred = [&keep](std::size_t i) { return keep[i] != 0; };
-
-    std::vector<std::uint32_t> expected;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (keep[i]) expected.push_back(static_cast<std::uint32_t>(i));
-    }
-    std::vector<std::uint32_t> got;
-    queue.evaluate(n, CandidatePred(pred), got);
-    ASSERT_EQ(got, expected) << "round " << round;
-  }
-  stop.store(true);
-  for (std::thread& t : helpers) t.join();
-}
-
-// Several hot shards fanning out in the same lookahead window: one owner
-// per ring slot, all evaluating concurrently while shared helpers hammer
-// help() and steal chunks from whichever slot has work. Every owner must
-// still see exactly the serial hit list for its own request — chunk merge
-// order is per-slot, never cross-slot.
-TEST(ParallelMatchEval, MultiSlotOwnersConcurrentWithHelpers) {
-  constexpr std::size_t kOwners = 4;
-  MatchHelpQueue queue(/*chunk=*/8, /*slots=*/kOwners);
-  ASSERT_EQ(queue.slot_count(), kOwners);
-
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> helpers;
-  for (int h = 0; h < 2; ++h) {
-    helpers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        if (!queue.help()) std::this_thread::yield();
-      }
-    });
-  }
-
-  std::atomic<std::size_t> mismatches{0};
-  std::vector<std::thread> owners;
-  for (std::size_t slot = 0; slot < kOwners; ++slot) {
-    owners.emplace_back([&, slot] {
-      Rng rng(1000 + slot);
-      for (int round = 0; round < 200; ++round) {
-        const std::size_t n = 1 + rng.index(300);
-        std::vector<std::uint8_t> keep(n);
-        for (std::size_t i = 0; i < n; ++i) keep[i] = rng.chance(0.35) ? 1 : 0;
-        std::vector<std::uint32_t> expected;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (keep[i]) expected.push_back(static_cast<std::uint32_t>(i));
-        }
-        auto pred = [&keep](std::size_t i) { return keep[i] != 0; };
-        std::vector<std::uint32_t> got;
-        queue.evaluate(slot, n, CandidatePred(pred), got);
-        if (got != expected) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-      }
-    });
-  }
-  for (std::thread& t : owners) t.join();
-  stop.store(true);
-  for (std::thread& t : helpers) t.join();
-  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 // --- concurrent interner ------------------------------------------------
@@ -467,91 +209,6 @@ TEST(InternerTorture, ConcurrentInterningIsConsistent) {
     EXPECT_EQ(interner.find("attr_" + std::to_string(s)), id);
   }
   EXPECT_EQ(interner.find("never_interned"), kNoIntern);
-}
-
-// --- SimSummary invariance across the parallel-match threshold ----------
-
-struct InvarianceNet {
-  Deployment dep;
-  std::uint64_t next_client = 0;
-  std::uint64_t next_sub = 0;
-
-  explicit InvarianceNet(std::size_t n) {
-    for (std::uint64_t i = 0; i < n; ++i) {
-      dep.topology.add_broker(BrokerId{i});
-      if (i > 0) dep.topology.add_link(BrokerId{(i - 1) / 3}, BrokerId{i});
-      dep.capacities.emplace(BrokerId{i},
-                             BrokerCapacity{1.0e5, MatchingDelayFunction{10e-6, 0.5e-6}});
-    }
-    const char* symbols[] = {"AAA", "BBB", "CCC"};
-    const double rates[] = {40.0, 25.0, 15.0};
-    Rng rng(3);
-    for (std::size_t i = 0; i < 3; ++i) {
-      PublisherSpec p;
-      p.client = ClientId{next_client++};
-      p.adv = AdvId{i};
-      p.symbol = symbols[i];
-      p.rate_msg_s = rates[i];
-      p.home = BrokerId{rng.index(n)};
-      p.adv_filter = parse_filter("[class,=,'STOCK'],[symbol,=,'" +
-                                  std::string(symbols[i]) + "']");
-      dep.publishers.push_back(std::move(p));
-    }
-    for (std::size_t k = 0; k < 24; ++k) {
-      SubscriberSpec s;
-      s.client = ClientId{next_client++};
-      s.sub = SubId{next_sub++};
-      std::string filter = "[symbol,=,'" + std::string(symbols[rng.index(3)]) + "']";
-      if (rng.chance(0.4)) filter += ",[volume,>,900000]";
-      s.filter = parse_filter(filter);
-      s.home = BrokerId{rng.index(n)};
-      dep.subscribers.push_back(std::move(s));
-    }
-  }
-
-  Simulation make(SimOptions opts) {
-    return Simulation(Deployment(dep),
-                      StockQuoteGenerator(StockQuoteGenerator::Config{}, Rng(99)),
-                      NetworkConfig{}, opts);
-  }
-};
-
-void expect_summary_identical(const SimSummary& a, const SimSummary& b) {
-  EXPECT_EQ(b.publications, a.publications);
-  EXPECT_EQ(b.deliveries, a.deliveries);
-  EXPECT_EQ(b.broker_msgs_total, a.broker_msgs_total);
-  EXPECT_EQ(b.avg_broker_msg_rate, a.avg_broker_msg_rate);
-  EXPECT_EQ(b.system_msg_rate, a.system_msg_rate);
-  EXPECT_EQ(b.avg_hop_count, a.avg_hop_count);
-  EXPECT_EQ(b.avg_delivery_delay_ms, a.avg_delivery_delay_ms);
-  EXPECT_EQ(b.p50_delivery_delay_ms, a.p50_delivery_delay_ms);
-  EXPECT_EQ(b.p99_delivery_delay_ms, a.p99_delivery_delay_ms);
-  EXPECT_EQ(b.avg_output_utilization, a.avg_output_utilization);
-}
-
-// The whole point of the deterministic merge: enabling parallel matching
-// (threshold 1 = every batch fans out) must not move a single summary bit,
-// at any worker count. workers=1 exercises the dedicated-pool evaluator,
-// workers=2 the shard help-queue donation path.
-TEST(MatchThresholdInvariance, SummaryIsBitIdenticalWithParallelMatching) {
-  InvarianceNet base(9);
-  Simulation reference = base.make(SimOptions{.workers = 1});
-  reference.run(8.0);
-  const SimSummary expected = reference.summarize();
-  const std::size_t expected_events = reference.events_executed();
-
-  struct Case {
-    std::size_t workers;
-    std::size_t threshold;
-  };
-  for (const Case c : {Case{1, 1}, Case{2, 1}, Case{2, 4}}) {
-    InvarianceNet net(9);
-    Simulation sim = net.make(SimOptions{.workers = c.workers, .match_threshold = c.threshold});
-    sim.run(8.0);
-    expect_summary_identical(expected, sim.summarize());
-    EXPECT_EQ(sim.events_executed(), expected_events)
-        << "workers=" << c.workers << " threshold=" << c.threshold;
-  }
 }
 
 }  // namespace
