@@ -87,7 +87,7 @@ ModeResult run_mode(Mode mode, const HarnessConfig& cfg, const DiurnalSchedule& 
   ModeResult r;
   r.mode = mode;
 
-  Simulation sim = make_simulation(cfg.scenario, cfg.sim);
+  Simulation sim = make_simulation(cfg.scenario);
   const control::RateModulator modulator(sim);
 
   if (mode == Mode::kController) {

@@ -25,9 +25,6 @@
 //   - healing: every per-epoch loss audit plus the final audit is clean —
 //     zero real losses; every miss is excused by a crash window, a
 //     retransmit/admission buffer, a shed, a stranding or the horizon
-//   - determinism: the healing leg's full per-tick trace (decisions, dead
-//     sets, orphan counts, window summaries) and recovery records are
-//     bit-identical for 1 and 4 simulator workers
 //   - at non-tiny scale: healing delivers strictly more than no-healing
 //
 // Knobs: GREENPS_TINY=1 / GREENPS_FULL=1 scale, GREENPS_BENCH_BUDGET_S,
@@ -80,7 +77,6 @@ struct CrashRecord {
 
 struct ModeResult {
   Mode mode = Mode::kHealing;
-  std::size_t workers = 1;
   bool ran = false;
   std::uint64_t publications = 0;
   std::uint64_t deliveries = 0;
@@ -102,15 +98,12 @@ struct ModeResult {
   std::uint64_t false_positives = 0;
   std::size_t suspect_transitions = 0;
   std::size_t dead_transitions = 0;
-  // Determinism fingerprint: one line per tick, windows included.
-  std::vector<std::string> trace;
   std::vector<std::string> tick_rows;
   double wall_s = 0;
 };
 
 // The broker currently hosting the most subscribers (ties: smallest id) —
-// the most damaging deterministic victim. Deployment order is
-// shard-invariant, so both worker counts pick the same corpse.
+// the most damaging deterministic victim.
 std::pair<bool, BrokerId> pick_victim(const Simulation& sim) {
   std::map<BrokerId, std::size_t> load;
   for (const auto& s : sim.deployment().subscribers) {
@@ -129,17 +122,13 @@ std::pair<bool, BrokerId> pick_victim(const Simulation& sim) {
   return {found, best};
 }
 
-ModeResult run_mode(Mode mode, std::size_t workers, const HarnessConfig& cfg,
-                    const DiurnalSchedule& schedule, double run_s, double interval_s,
-                    double profile_s) {
+ModeResult run_mode(Mode mode, const HarnessConfig& cfg, const DiurnalSchedule& schedule,
+                    double run_s, double interval_s, double profile_s) {
   const auto t0 = Clock::now();
   ModeResult r;
   r.mode = mode;
-  r.workers = workers;
 
-  HarnessConfig c = cfg;
-  c.sim.workers = workers;
-  Simulation sim = make_simulation(c.scenario, c.sim);
+  Simulation sim = make_simulation(cfg.scenario);
   const control::RateModulator modulator(sim);
   modulator.apply(sim, schedule.multiplier(0));
   sim.run(profile_s);
@@ -156,7 +145,7 @@ ModeResult run_mode(Mode mode, std::size_t workers, const HarnessConfig& cfg,
 
   control::ControlLoopConfig lc;
   lc.interval_s = interval_s;
-  lc.croc.seed = c.scenario.seed;
+  lc.croc.seed = cfg.scenario.seed;
   lc.healing = mode != Mode::kNoHealing;
   control::ControlLoop loop(sim, lc);
 
@@ -172,7 +161,7 @@ ModeResult run_mode(Mode mode, std::size_t workers, const HarnessConfig& cfg,
     r.pubs_shed += fs.pubs_shed_admission;
     if (audited) {
       audit_results.push_back(
-          audit_losses(s, make_quote_generator(c.scenario), audit_opts));
+          audit_losses(s, make_quote_generator(cfg.scenario), audit_opts));
     }
   };
   loop.post_redeploy_hook = [fo](Simulation& s) {
@@ -199,21 +188,9 @@ ModeResult run_mode(Mode mode, std::size_t workers, const HarnessConfig& cfg,
     modulator.apply(sim, schedule.multiplier(tick_start_s));
     const control::TickRecord& rec = loop.step();
 
-    r.trace.push_back(std::string(control::action_name(rec.decision.action)) + "/" +
-                      control::hold_reason_name(rec.decision.hold) + "/" +
-                      std::to_string(rec.dead.size()) + "/" +
-                      std::to_string(rec.suspects.size()) + "/" +
-                      std::to_string(rec.orphans_rehomed) + "/" +
-                      std::to_string(rec.brokers_after) + "/" +
-                      std::to_string(rec.window.publications) + "/" +
-                      std::to_string(rec.window.deliveries) + "/" +
-                      std::to_string(rec.window.pubs_deferred) + "/" +
-                      std::to_string(rec.window.pubs_shed) + "/" +
-                      std::to_string(rec.window.msgs_stranded));
     JsonObject row;
     row.set_string("kind", "tick")
         .set_string("mode", mode_name(mode))
-        .set_integer("workers", workers)
         .set_number("time_s", rec.time_s)
         .set_string("action", control::action_name(rec.decision.action))
         .set_string("hold", control::hold_reason_name(rec.decision.hold))
@@ -239,7 +216,7 @@ ModeResult run_mode(Mode mode, std::size_t workers, const HarnessConfig& cfg,
   }
   if (audited) {
     audit_results.push_back(
-        audit_losses(sim, make_quote_generator(c.scenario), audit_opts));
+        audit_losses(sim, make_quote_generator(cfg.scenario), audit_opts));
   }
 
   r.totals = loop.totals();
@@ -284,41 +261,32 @@ int main() {
               : tiny_scale() ? "[tiny/smoke scale]"
                              : "[reduced scale]");
 
-  // Legs: the healing determinism pair first (the headline), then the
-  // baseline and the false-positive guard.
+  // Legs: the healing headline first, then the baseline and the
+  // false-positive guard.
   std::vector<ModeResult> results;
-  const std::vector<std::pair<Mode, std::size_t>> legs = {
-      {Mode::kHealing, 1},
-      {Mode::kHealing, 4},
-      {Mode::kNoHealing, 1},
-      {Mode::kFaultFree, 1},
-  };
-  for (const auto& [mode, workers] : legs) {
+  for (const Mode mode : {Mode::kHealing, Mode::kNoHealing, Mode::kFaultFree}) {
     if (budget.skip("remaining self-heal legs")) break;
-    results.push_back(
-        run_mode(mode, workers, cfg, schedule, day_s, interval_s, profile_s));
+    results.push_back(run_mode(mode, cfg, schedule, day_s, interval_s, profile_s));
   }
 
-  const std::vector<int> widths = {12, 4, 8, 10, 9, 9, 9, 9, 8, 7};
-  print_row({"mode", "wkr", "crashes", "recovered", "orphans", "deliver",
-             "deferred", "stranded", "losses", "wall"},
+  const std::vector<int> widths = {12, 8, 10, 9, 9, 9, 9, 8, 7};
+  print_row({"mode", "crashes", "recovered", "orphans", "deliver", "deferred", "stranded",
+             "losses", "wall"},
             widths);
   for (const ModeResult& r : results) {
-    print_row({mode_name(r.mode), std::to_string(r.workers),
-               std::to_string(r.crashes.size()), std::to_string(r.totals.recoveries),
+    print_row({mode_name(r.mode), std::to_string(r.crashes.size()),
+               std::to_string(r.totals.recoveries),
                std::to_string(r.totals.orphans_rehomed), std::to_string(r.deliveries),
                std::to_string(r.pubs_deferred), std::to_string(r.msgs_stranded),
                std::to_string(r.real_losses), fmt(r.wall_s, 1)},
               widths);
   }
 
-  const ModeResult* heal1 = nullptr;
-  const ModeResult* heal4 = nullptr;
+  const ModeResult* heal = nullptr;
   const ModeResult* base = nullptr;
   const ModeResult* clean = nullptr;
   for (const ModeResult& r : results) {
-    if (r.mode == Mode::kHealing && r.workers == 1) heal1 = &r;
-    if (r.mode == Mode::kHealing && r.workers == 4) heal4 = &r;
+    if (r.mode == Mode::kHealing) heal = &r;
     if (r.mode == Mode::kNoHealing) base = &r;
     if (r.mode == Mode::kFaultFree) clean = &r;
   }
@@ -338,22 +306,22 @@ int main() {
     }
   }
 
-  if (heal1 != nullptr) {
+  if (heal != nullptr) {
     // Every scripted crash detected and recovered, within the time bound.
-    if (heal1->crashes.size() != 2 ||
-        heal1->totals.recoveries != heal1->crashes.size()) {
+    if (heal->crashes.size() != 2 ||
+        heal->totals.recoveries != heal->crashes.size()) {
       std::fprintf(stderr, "[e15] healing: %zu crashes but %zu recoveries\n",
-                   heal1->crashes.size(), heal1->totals.recoveries);
+                   heal->crashes.size(), heal->totals.recoveries);
       failed = true;
     }
     // A broker can crash, be recovered, leave quarantine, be re-commissioned
     // and crash again — pair each crash with the earliest unconsumed
     // recovery of that broker at or after the injection.
-    std::vector<bool> used(heal1->recoveries.size(), false);
-    for (const CrashRecord& crash : heal1->crashes) {
+    std::vector<bool> used(heal->recoveries.size(), false);
+    for (const CrashRecord& crash : heal->crashes) {
       const control::RecoveryRecord* match = nullptr;
-      for (std::size_t i = 0; i < heal1->recoveries.size(); ++i) {
-        const control::RecoveryRecord& rec = heal1->recoveries[i];
+      for (std::size_t i = 0; i < heal->recoveries.size(); ++i) {
+        const control::RecoveryRecord& rec = heal->recoveries[i];
         if (used[i] || rec.broker.value() != crash.broker ||
             rec.recovered_s < crash.at_s) {
           continue;
@@ -362,7 +330,7 @@ int main() {
           match = &rec;
         }
       }
-      if (match != nullptr) used[static_cast<std::size_t>(match - heal1->recoveries.data())] = true;
+      if (match != nullptr) used[static_cast<std::size_t>(match - heal->recoveries.data())] = true;
       if (match == nullptr) {
         std::fprintf(stderr, "[e15] healing: broker %llu crashed but never recovered\n",
                      static_cast<unsigned long long>(crash.broker));
@@ -380,70 +348,39 @@ int main() {
       }
     }
     // Zero real losses across every epoch audit plus the final audit.
-    if (heal1->real_losses != 0 || heal1->false_positives != 0 ||
-        heal1->audited_expected == 0) {
+    if (heal->real_losses != 0 || heal->false_positives != 0 ||
+        heal->audited_expected == 0) {
       std::fprintf(stderr,
                    "[e15] healing: %llu real losses, %llu false positives over "
                    "%zu audits (%llu expected deliveries)\n",
-                   static_cast<unsigned long long>(heal1->real_losses),
-                   static_cast<unsigned long long>(heal1->false_positives),
-                   heal1->audits,
-                   static_cast<unsigned long long>(heal1->audited_expected));
+                   static_cast<unsigned long long>(heal->real_losses),
+                   static_cast<unsigned long long>(heal->false_positives),
+                   heal->audits,
+                   static_cast<unsigned long long>(heal->audited_expected));
       failed = true;
     }
     std::printf("\nhealing: %zu recoveries, %zu orphans re-homed, %llu deferred "
                 "(%llu readmitted, %llu shed), %llu stranded; %zu audits, "
                 "%llu real losses\n",
-                heal1->totals.recoveries, heal1->totals.orphans_rehomed,
-                static_cast<unsigned long long>(heal1->pubs_deferred),
-                static_cast<unsigned long long>(heal1->pubs_readmitted),
-                static_cast<unsigned long long>(heal1->pubs_shed),
-                static_cast<unsigned long long>(heal1->msgs_stranded),
-                heal1->audits,
-                static_cast<unsigned long long>(heal1->real_losses));
+                heal->totals.recoveries, heal->totals.orphans_rehomed,
+                static_cast<unsigned long long>(heal->pubs_deferred),
+                static_cast<unsigned long long>(heal->pubs_readmitted),
+                static_cast<unsigned long long>(heal->pubs_shed),
+                static_cast<unsigned long long>(heal->msgs_stranded),
+                heal->audits,
+                static_cast<unsigned long long>(heal->real_losses));
   }
 
-  // The whole trajectory — decisions, dead sets, orphans, per-window
-  // summaries, recovery records — is worker-count invariant.
-  if (heal1 != nullptr && heal4 != nullptr) {
-    bool same = heal1->trace == heal4->trace &&
-                heal1->recoveries.size() == heal4->recoveries.size();
-    if (same) {
-      for (std::size_t i = 0; i < heal1->recoveries.size(); ++i) {
-        const control::RecoveryRecord& a = heal1->recoveries[i];
-        const control::RecoveryRecord& b = heal4->recoveries[i];
-        same = same && a.broker == b.broker && a.detected_s == b.detected_s &&
-               a.recovered_s == b.recovered_s && a.orphans == b.orphans;
-      }
-    }
-    if (!same) {
-      std::fprintf(stderr, "[e15] healing trajectory diverges between 1 and 4 "
-                           "simulator workers\n");
-      for (std::size_t i = 0; i < heal1->trace.size() && i < heal4->trace.size(); ++i) {
-        if (heal1->trace[i] != heal4->trace[i]) {
-          std::fprintf(stderr, "[e15]   tick %zu: %s vs %s\n", i,
-                       heal1->trace[i].c_str(), heal4->trace[i].c_str());
-          break;
-        }
-      }
-      failed = true;
-    } else {
-      std::printf("determinism: %zu-tick trajectory bit-identical for 1 and 4 "
-                  "workers\n",
-                  heal1->trace.size());
-    }
-  }
-
-  if (heal1 != nullptr && base != nullptr) {
+  if (heal != nullptr && base != nullptr) {
     std::printf("healing vs no-healing: %llu vs %llu deliveries (+%.1f%%)\n",
-                static_cast<unsigned long long>(heal1->deliveries),
+                static_cast<unsigned long long>(heal->deliveries),
                 static_cast<unsigned long long>(base->deliveries),
                 base->deliveries > 0
-                    ? 100.0 * (static_cast<double>(heal1->deliveries) -
+                    ? 100.0 * (static_cast<double>(heal->deliveries) -
                                static_cast<double>(base->deliveries)) /
                           static_cast<double>(base->deliveries)
                     : 0.0);
-    if (!tiny_scale() && heal1->deliveries <= base->deliveries) {
+    if (!tiny_scale() && heal->deliveries <= base->deliveries) {
       std::fprintf(stderr, "[e15] healing delivered no more than the "
                            "no-healing baseline\n");
       failed = true;
@@ -455,7 +392,6 @@ int main() {
     rows.push_back(JsonObject()
                        .set_string("kind", "mode")
                        .set_string("mode", mode_name(r.mode))
-                       .set_integer("workers", r.workers)
                        .set_integer("publications", r.publications)
                        .set_integer("deliveries", r.deliveries)
                        .set_number("broker_hours", r.broker_hours)
@@ -482,7 +418,6 @@ int main() {
       rows.push_back(JsonObject()
                          .set_string("kind", "crash")
                          .set_string("mode", mode_name(r.mode))
-                         .set_integer("workers", r.workers)
                          .set_integer("broker", crash.broker)
                          .set_number("at_s", crash.at_s)
                          .render());
@@ -491,7 +426,6 @@ int main() {
       rows.push_back(JsonObject()
                          .set_string("kind", "recovery")
                          .set_string("mode", mode_name(r.mode))
-                         .set_integer("workers", r.workers)
                          .set_integer("broker", rec.broker.value())
                          .set_number("detected_s", rec.detected_s)
                          .set_number("recovered_s", rec.recovered_s)
@@ -499,7 +433,7 @@ int main() {
                          .render());
     }
     // One leg's tick series is enough for plots; keep the headline leg's.
-    if (r.mode == Mode::kHealing && r.workers == 1) {
+    if (r.mode == Mode::kHealing) {
       for (const std::string& tick : r.tick_rows) rows.push_back(tick);
     }
   }

@@ -1,17 +1,12 @@
 // E5 — Large-scale deployments (the paper's SciNet runs: 400 and 1,000
 // brokers with 72 and 100 publishers at 225 subscriptions each, sized so
 // the MANUAL baseline initially saturates the system; plus a 4,000-broker /
-// ~101k-subscription stretch configuration exercising the sharded event
-// loop).
+// ~101k-subscription stretch configuration).
 //
 // Reduced default: 100/160 brokers. Expected shape: consolidation ratios
 // grow with network size — most of a sparse deployment is pure forwarding.
-//
-// Besides the approach grid, the bench sweeps the simulator's worker count
-// (1/2/4/8 event-queue shards) on the first scale and emits the scaling
-// curve as "series": "workers" rows in BENCH_sim.json — results are
-// bit-identical across worker counts, so the curve isolates pure event-loop
-// parallelism. See EXPERIMENTS.md for the row schema.
+// One BENCH_sim.json row per (scale, approach); see EXPERIMENTS.md for the
+// row schema.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -55,40 +50,8 @@ int main() {
                              : "[reduced scale; GREENPS_FULL=1 for 400/1000/4000 brokers]");
   std::vector<std::string> json_rows;
 
-  // --- worker-count scaling curve (first scale, MANUAL baseline) ---
-  // Runs before the approach grid so a tight budget still yields the curve.
-  const Scale first = scales().front();
-  {
-    const std::vector<int> widths = {8, 8, 10, 12, 10};
-    std::printf("worker scaling, %zu brokers (MANUAL):\n",
-                static_cast<std::size_t>(first.brokers));
-    print_row({"workers", "shards", "wall s", "events/s", "speedup"}, widths);
-    double wall_1 = 0;
-    for (const std::size_t w : {1, 2, 4, 8}) {
-      if (budget.skip("remaining worker counts")) break;
-      HarnessConfig cfg = config_for(first);
-      cfg.sim.workers = w;
-      const RunResult r = run_approach(Approach::kManual, cfg);
-      if (w == 1) wall_1 = r.wall_s;
-      print_row({std::to_string(w), std::to_string(r.workers), fmt(r.wall_s, 2),
-                 fmt(r.wall_s > 0 ? static_cast<double>(r.events) / r.wall_s : 0, 0),
-                 r.wall_s > 0 && wall_1 > 0 ? fmt(wall_1 / r.wall_s, 2) + "x" : "n/a"},
-                widths);
-      JsonObject row = run_result_json(r);
-      row.set_string("series", "workers")
-          .set_integer("requested_workers", w)
-          .set_integer("brokers", first.brokers)
-          .set_integer("subscriptions", first.publishers * first.subs_per_publisher);
-      json_rows.push_back(row.render());
-    }
-    std::printf("\n");
-  }
-
-  // --- approach grid across deployment scales ---
-  const std::vector<int> widths = {8, 8, 6, 12, 10, 12, 12, 8};
-  print_row({"brokers", "workers", "subs", "approach", "alloc", "msg rate", "sys rate",
-             "hops"},
-            widths);
+  const std::vector<int> widths = {8, 6, 12, 10, 12, 12, 8};
+  print_row({"brokers", "subs", "approach", "alloc", "msg rate", "sys rate", "hops"}, widths);
   for (const Scale& s : scales()) {
     if (budget.skip("remaining deployment scales")) break;
     const HarnessConfig cfg = config_for(s);
@@ -97,15 +60,13 @@ int main() {
          {Approach::kManual, Approach::kAutomatic, Approach::kBinPacking, Approach::kCramIos}) {
       if (budget.skip("remaining approaches at this scale")) break;
       const RunResult r = run_approach(a, cfg);
-      print_row({std::to_string(s.brokers), std::to_string(r.workers),
-                 std::to_string(total), approach_name(a),
+      print_row({std::to_string(s.brokers), std::to_string(total), approach_name(a),
                  std::to_string(r.summary.allocated_brokers),
                  fmt(r.summary.avg_broker_msg_rate, 2), fmt(r.summary.system_msg_rate, 1),
                  fmt(r.summary.avg_hop_count, 2)},
                 widths);
       JsonObject row = run_result_json(r);
-      row.set_string("series", "approaches")
-          .set_integer("brokers", s.brokers)
+      row.set_integer("brokers", s.brokers)
           .set_integer("subscriptions", total);
       json_rows.push_back(row.render());
     }

@@ -11,7 +11,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,12 +20,10 @@
 #include "bench_util.hpp"
 #include "broker/routing_tables.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "matching/matching_engine.hpp"
 #include "poset/poset.hpp"
 #include "profile/closeness.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/sharded_engine.hpp"
 #include "workload/subscription_gen.hpp"
 
 namespace greenps {
@@ -335,64 +332,6 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBurst);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
-
-// Sharded event-loop drain: self-rescheduling event chains spread over W
-// shards, with `cross_pct` percent of reschedules posting to the next shard
-// (at +lookahead, honoring the conservative window contract). Sweeps the
-// worker count against the cross-shard traffic ratio — the two axes that
-// bound the simulator's parallel speedup.
-void BM_ShardedEventLoopDrain(benchmark::State& state) {
-  const auto workers = static_cast<std::size_t>(state.range(0));
-  const double cross = static_cast<double>(state.range(1)) / 100.0;
-  constexpr SimTime kLookahead = 500;  // the simulator's link latency, in us
-  constexpr std::size_t kChains = 128;
-  constexpr SimTime kEpoch = 20000;  // simulated us drained per iteration
-
-  ShardedEventLoop loop(workers);
-  ThreadPool pool(workers);
-  struct alignas(64) PerShard {
-    std::uint64_t executed = 0;
-    std::uint64_t key_seq = 0;
-    Rng rng{0};
-  };
-  std::vector<PerShard> sh(workers);
-  for (std::size_t s = 0; s < workers; ++s) sh[s].rng = Rng(s + 1);
-
-  // Each firing does a pinch of work (the counter + RNG draws) and
-  // reschedules itself — locally a short hop ahead, or onto the next shard
-  // past the lookahead.
-  std::function<void(std::size_t, std::uint64_t)> fire = [&](std::size_t s,
-                                                             std::uint64_t chain) {
-    PerShard& ps = sh[s];
-    ps.executed += 1;
-    const bool go_cross = workers > 1 && ps.rng.chance(cross);
-    const std::size_t dst = go_cross ? (s + 1) % workers : s;
-    const SimTime now = loop.queue(s).now();
-    const SimTime at =
-        now + (go_cross ? kLookahead : 0) + 1 + static_cast<SimTime>(ps.rng.index(97));
-    loop.post(s, dst, at, EventKey{(2ull << 56) | chain, ps.key_seq++},
-              [&fire, dst, chain] { fire(dst, chain); });
-  };
-  for (std::uint64_t c = 0; c < kChains; ++c) {
-    const std::size_t s = c % workers;
-    loop.queue(s).schedule_keyed(1 + static_cast<SimTime>(c), EventKey{(2ull << 56) | c, 0},
-                                 [&fire, s, c] { fire(s, c); });
-  }
-
-  SimTime end = 0;
-  for (auto _ : state) {
-    end += kEpoch;
-    loop.run(end, kLookahead, workers > 1 ? &pool : nullptr);
-  }
-  std::uint64_t total = 0;
-  for (const PerShard& ps : sh) total += ps.executed;
-  state.SetItemsProcessed(static_cast<std::int64_t>(total));
-}
-BENCHMARK(BM_ShardedEventLoopDrain)
-    ->ArgsProduct({{1, 2, 4, 8}, {0, 10, 50}})
-    ->ArgNames({"workers", "cross_pct"})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 // --- concurrent frozen-table match throughput (always run; BENCH_match.json)
 //

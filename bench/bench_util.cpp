@@ -100,7 +100,6 @@ RunResult run_approach(Approach a, const HarnessConfig& cfg) {
     result.summary = sim.summarize();
     result.events = events_before_redeploy + sim.events_executed();
     result.match_walks = MatchingEngine::match_walks();
-    result.workers = sim.shard_count();
     result.wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   };
@@ -110,7 +109,7 @@ RunResult run_approach(Approach a, const HarnessConfig& cfg) {
   // other deploy-only baseline.
   sc.placement =
       a == Approach::kAutomatic ? InitialPlacement::kAutomatic : InitialPlacement::kManual;
-  Simulation sim = make_simulation(sc, cfg.sim);
+  Simulation sim = make_simulation(sc);
 
   if (a == Approach::kManual || a == Approach::kAutomatic) {
     sim.run(cfg.profile_seconds);  // warm-up for parity with the others
@@ -193,7 +192,6 @@ JsonObject run_result_json(const RunResult& r) {
       .set_integer("events", r.events)
       .set_number("events_per_s", r.wall_s > 0 ? static_cast<double>(r.events) / r.wall_s : 0)
       .set_integer("match_walks", r.match_walks)
-      .set_integer("workers", r.workers)
       .set_integer("retransmit_overflow", r.summary.retransmit_overflow)
       .set_integer("publications", r.summary.publications)
       .set_integer("deliveries", r.summary.deliveries)

@@ -43,10 +43,6 @@ struct HarnessConfig {
   ScenarioConfig scenario;
   double profile_seconds = 90.0;
   double measure_seconds = 120.0;
-  // Simulator parallelism (workers = event-queue shards). Defaults to the
-  // GREENPS_SIM_WORKERS environment resolution; results are bit-identical
-  // for any worker count.
-  SimOptions sim;
 };
 
 struct RunResult {
@@ -58,7 +54,6 @@ struct RunResult {
   double wall_s = 0;             // wall-clock seconds for the whole run
   std::size_t events = 0;        // discrete events executed
   std::size_t match_walks = 0;   // candidate filter evaluations (this thread)
-  std::size_t workers = 1;       // event-loop shards the simulator used
 };
 
 [[nodiscard]] RunResult run_approach(Approach a, const HarnessConfig& cfg);

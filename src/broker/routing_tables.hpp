@@ -8,8 +8,8 @@
 // freeze() compiles it once into an immutable routing table — the matching
 // engine's Index, a hop per compiled subscription and the advertisement
 // scopes. match_into() reads only that compiled table, as const, from any
-// number of threads at once; happens-before comes from thread start or the
-// simulator's shard barrier. A mutation after freeze() marks the table
+// number of threads at once; happens-before comes from the thread start
+// (or other synchronization) that hands the frozen table over. A mutation after freeze() marks the table
 // stale, and matching a stale table asserts in debug builds.
 #pragma once
 

@@ -1,7 +1,6 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "obs/trace.hpp"
 
@@ -46,17 +45,12 @@ void ThreadPool::worker_loop(std::size_t slot) {
     seen = generation_;
     const auto* job = job_;
     const std::size_t n = job_n_;
-    const bool static_mode = static_slots_;
     lk.unlock();
     {
       // One span per job execution, tagged with the worker slot so traces
       // show which worker carried which share of the parallel region.
       GREENPS_SPAN_TAGGED("pool.work", slot);
-      if (static_mode) {
-        if (slot < n) (*job)(slot, slot);
-      } else {
-        run_indices(*job, n, slot);
-      }
+      run_indices(*job, n, slot);
     }
     lk.lock();
     if (--active_ == 0) cv_done_.notify_one();
@@ -90,35 +84,6 @@ void ThreadPool::parallel_for_indexed(
   std::unique_lock<std::mutex> lk(mu_);
   cv_done_.wait(lk, [&] { return active_ == 0; });
   job_ = nullptr;
-}
-
-void ThreadPool::run_slots(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (n == 1) {
-    fn(0);
-    return;
-  }
-  // A cooperative job would deadlock with fewer threads than slots.
-  assert(n <= size());
-  const std::function<void(std::size_t, std::size_t)> job =
-      [&fn](std::size_t i, std::size_t /*slot*/) { fn(i); };
-  {
-    const std::lock_guard<std::mutex> lk(mu_);
-    job_ = &job;
-    job_n_ = n;
-    static_slots_ = true;
-    active_ = workers_.size();
-    ++generation_;
-  }
-  cv_start_.notify_all();
-  {
-    GREENPS_SPAN_TAGGED("pool.work", 0);
-    job(0, 0);
-  }
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_done_.wait(lk, [&] { return active_ == 0; });
-  job_ = nullptr;
-  static_slots_ = false;
 }
 
 }  // namespace greenps

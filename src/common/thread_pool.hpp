@@ -43,14 +43,6 @@ class ThreadPool {
   void parallel_for_indexed(std::size_t n,
                             const std::function<void(std::size_t, std::size_t)>& fn);
 
-  // Run fn(slot) for every slot in [0, n), each slot pinned to a distinct
-  // thread (the caller is slot 0), blocking until all return. Unlike
-  // parallel_for, indices are NOT claimed dynamically, so fn may
-  // synchronize across slots (barriers, lockstep phases) without risking
-  // one thread claiming two cooperating indices and deadlocking. Requires
-  // n <= size(); fn must not throw.
-  void run_slots(std::size_t n, const std::function<void(std::size_t)>& fn);
-
   // Resolve a thread-count option: 0 = hardware_concurrency (min 1).
   [[nodiscard]] static std::size_t resolve(std::size_t requested);
 
@@ -65,7 +57,6 @@ class ThreadPool {
   std::condition_variable cv_done_;
   const std::function<void(std::size_t, std::size_t)>* job_ = nullptr;
   std::size_t job_n_ = 0;
-  bool static_slots_ = false;  // current job: slot s runs index s only
   std::atomic<std::size_t> next_{0};
   std::size_t active_ = 0;       // workers still inside the current job
   std::uint64_t generation_ = 0;  // bumped per job so workers never re-run one

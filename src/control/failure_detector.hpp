@@ -15,8 +15,7 @@
 // guarantees zero false positives on a fault-free run, where the sampler
 // is strictly periodic and every evaluation sees at most one period of
 // silence. All state is driven by the caller's (heartbeat, evaluate) call
-// sequence — no wall clock, no randomness — so detection is deterministic
-// for any simulator worker count.
+// sequence — no wall clock, no randomness — so detection is deterministic.
 #pragma once
 
 #include <cstddef>

@@ -4,9 +4,9 @@
 // Each control tick folds the sampler rows appended since the previous tick
 // into a window digest (mean/max link utilization, worst queue backlog,
 // system input rate) and updates exponentially-weighted running estimates.
-// Rows arrive in canonical (time, broker) order and the fold is pure
-// arithmetic over them, so for a fixed seed the estimate series — and every
-// controller decision derived from it — is identical for any worker count.
+// Rows arrive in (time, broker) order and the fold is pure arithmetic over
+// them, so for a fixed seed the estimate series — and every controller
+// decision derived from it — is identical from run to run.
 #pragma once
 
 #include <cstddef>

@@ -52,11 +52,11 @@ class Interner {
     }
   };
 
-  // Thread-safe: the one routing structure still written while simulation
-  // shards run, because publications intern their attribute names on
-  // worker threads. find/spelling/size and the already-known intern() case
-  // take the shared lock; first-sight interning takes the exclusive lock
-  // and inserts in place. The vocabulary is tiny and converges fast, so the
+  // Thread-safe: one process-wide interner serves every thread that builds
+  // publications or filters (simulations driven on separate threads, CRAM's
+  // pool workers, concurrent matching readers). find/spelling/size and the
+  // already-known intern() case take the shared lock; first-sight interning
+  // takes the exclusive lock and inserts in place. The vocabulary is tiny and converges fast, so the
   // exclusive path is off the steady state entirely.
   mutable std::shared_mutex mu_;
   std::deque<std::string> storage_;  // grow-only; stable references on growth

@@ -39,7 +39,7 @@
 namespace greenps {
 
 // Caller-owned scratch for the allocation-free match path. Each matching
-// thread (simulation shard, test thread) owns one and reuses it across
+// thread (a simulation, a test thread) owns one and reuses it across
 // calls; nothing in the engine or routing table retains state between
 // matches, which is what makes the const read path data-race free.
 struct MatchScratch {
@@ -93,8 +93,7 @@ class MatchingEngine {
   // Number of candidate filters evaluated (Filter::matches calls) by the
   // calling thread. Test/bench hook for the index-pruning invariant,
   // mirroring SubscriptionProfile::pairwise_walks(). Each matching thread
-  // accrues its own walks; the sharded simulator harvests them per worker
-  // slot so totals stay invariant.
+  // accrues its own walks.
   [[nodiscard]] static std::size_t match_walks();
   static void reset_match_walks();
   // Credit `n` candidate evaluations done outside the engine (the routing

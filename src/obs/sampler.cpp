@@ -1,6 +1,5 @@
 #include "obs/sampler.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -17,23 +16,6 @@ void TimeSeriesSampler::append(double time_s, std::uint64_t key,
                                const std::vector<double>& values) {
   assert(values.size() == value_columns_.size());
   rows_.push_back({time_s, key, values});
-}
-
-void TimeSeriesSampler::absorb(TimeSeriesSampler& other) {
-  assert(other.value_columns_.size() == value_columns_.size());
-  if (rows_.empty()) {
-    rows_ = std::move(other.rows_);
-  } else {
-    rows_.reserve(rows_.size() + other.rows_.size());
-    for (Row& r : other.rows_) rows_.push_back(std::move(r));
-  }
-  other.rows_.clear();
-}
-
-void TimeSeriesSampler::sort_rows() {
-  std::stable_sort(rows_.begin(), rows_.end(), [](const Row& a, const Row& b) {
-    return a.time_s != b.time_s ? a.time_s < b.time_s : a.key < b.key;
-  });
 }
 
 std::string TimeSeriesSampler::render_csv() const {

@@ -36,13 +36,6 @@ class TimeSeriesSampler {
   bool write_csv(const std::string& path) const;
   void clear() { rows_.clear(); }
 
-  // Move every row of `other` into this sampler (and clear `other`); the
-  // sharded simulator reduces per-shard samplers into one stream this way.
-  void absorb(TimeSeriesSampler& other);
-  // Stable-sort rows by (time, key): canonical order after absorbing
-  // shards, identical to what a single-shard run appends naturally.
-  void sort_rows();
-
   // GREENPS_OBS_SAMPLE_MS parsed as a sim-time sampling interval; 0 when
   // unset/invalid, meaning sampling is disabled.
   [[nodiscard]] static std::int64_t interval_us_from_env();

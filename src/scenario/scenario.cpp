@@ -147,13 +147,8 @@ Scenario build_scenario(const ScenarioConfig& config) {
 }
 
 Simulation make_simulation(const ScenarioConfig& config) {
-  return make_simulation(config, SimOptions{});
-}
-
-Simulation make_simulation(const ScenarioConfig& config, SimOptions sim_options) {
   Scenario sc = build_scenario(config);
-  return Simulation(std::move(sc.deployment), make_quote_generator(config), NetworkConfig{},
-                    sim_options);
+  return Simulation(std::move(sc.deployment), make_quote_generator(config));
 }
 
 }  // namespace greenps

@@ -63,7 +63,5 @@ struct Scenario {
 
 // Convenience: scenario + simulation in one step.
 [[nodiscard]] Simulation make_simulation(const ScenarioConfig& config);
-// Same, with explicit simulator options (worker-thread count).
-[[nodiscard]] Simulation make_simulation(const ScenarioConfig& config, SimOptions sim_options);
 
 }  // namespace greenps

@@ -41,15 +41,6 @@ std::size_t EventQueue::run_until(SimTime end) {
   return count;
 }
 
-std::size_t EventQueue::run_before(SimTime horizon) {
-  std::size_t count = 0;
-  while (!heap_.empty() && heap_.top().time < horizon) {
-    pop_and_run();
-    ++count;
-  }
-  return count;
-}
-
 void EventQueue::clear() {
   heap_ = {};
   now_ = 0;

@@ -5,10 +5,8 @@
 //    same-time events fire in the order they were scheduled);
 //  - schedule_keyed() takes a caller-supplied EventKey derived from the
 //    event's *content* (source ordinal + per-source sequence). Content keys
-//    make the execution order a pure function of the simulated system, so a
-//    sharded simulation replays each broker's events in exactly the order a
-//    single queue would — the foundation of the bit-identical contract for
-//    any worker count.
+//    make the execution order a pure function of the simulated system, not
+//    of the order in which handlers happened to schedule their events.
 // Keyed events order before legacy ones at the same timestamp (their class
 // bits are smaller); each discipline is internally deterministic.
 #pragma once
@@ -54,13 +52,6 @@ class EventQueue {
   // next event is after `end`; leaves now() == end. Returns the number of
   // events executed.
   std::size_t run_until(SimTime end);
-
-  // Execute events with time strictly before `horizon`, leaving now() at
-  // the last executed event (events at exactly `horizon` stay queued).
-  // Used by the sharded loop to drain one conservative lookahead window:
-  // cross-shard messages produced inside the window land at or after
-  // `horizon`, so they merge in before the next window opens.
-  std::size_t run_before(SimTime horizon);
 
   [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] SimTime next_time() const {

@@ -114,33 +114,16 @@ FaultSchedule FaultSchedule::chaos(const ChaosConfig& config,
   return s;
 }
 
-void FaultStats::add(const FaultStats& other) {
-  crashes += other.crashes;
-  restarts += other.restarts;
-  link_downs += other.link_downs;
-  link_ups += other.link_ups;
-  pubs_dropped_at_source += other.pubs_dropped_at_source;
-  arrivals_dropped += other.arrivals_dropped;
-  deliveries_dropped += other.deliveries_dropped;
-  msgs_dropped_link_down += other.msgs_dropped_link_down;
-  msgs_dropped_random += other.msgs_dropped_random;
-  retransmits_replayed += other.retransmits_replayed;
-  retransmit_overflow += other.retransmit_overflow;
-  pubs_deferred_admission += other.pubs_deferred_admission;
-  pubs_readmitted += other.pubs_readmitted;
-  pubs_shed_admission += other.pubs_shed_admission;
-}
-
-void FaultState::apply(const FaultEvent& ev, bool record) {
+void FaultState::apply(const FaultEvent& ev) {
   switch (ev.kind) {
     case FaultKind::kBrokerCrash:
-      if (crashed_.insert(ev.broker).second && record) {
+      if (crashed_.insert(ev.broker).second) {
         stats_.crashes += 1;
         outages_.push_back(OutageWindow{ev.broker, ev.at, -1});
       }
       break;
     case FaultKind::kBrokerRestart:
-      if (crashed_.erase(ev.broker) > 0 && record) {
+      if (crashed_.erase(ev.broker) > 0) {
         stats_.restarts += 1;
         // Close the most recent open window for this broker.
         for (auto it = outages_.rbegin(); it != outages_.rend(); ++it) {
@@ -152,12 +135,12 @@ void FaultState::apply(const FaultEvent& ev, bool record) {
       }
       break;
     case FaultKind::kLinkDown:
-      if (down_links_.insert(link_key(ev.broker, ev.peer)).second && record) {
+      if (down_links_.insert(link_key(ev.broker, ev.peer)).second) {
         stats_.link_downs += 1;
       }
       break;
     case FaultKind::kLinkUp:
-      if (down_links_.erase(link_key(ev.broker, ev.peer)) > 0 && record) stats_.link_ups += 1;
+      if (down_links_.erase(link_key(ev.broker, ev.peer)) > 0) stats_.link_ups += 1;
       break;
     case FaultKind::kLinkDrop:
       if (ev.drop_prob > 0) {

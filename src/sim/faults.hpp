@@ -104,9 +104,6 @@ struct FaultStats {
   std::uint64_t pubs_deferred_admission = 0;  // held at the door (backlog high)
   std::uint64_t pubs_readmitted = 0;          // deferred, later injected
   std::uint64_t pubs_shed_admission = 0;      // deferred-buffer cap hit; shed
-
-  // Field-wise sum: reduces per-shard counters into one view.
-  void add(const FaultStats& other);
 };
 
 // One broker outage as the loss oracle sees it. end < 0 = still down.
@@ -120,12 +117,9 @@ struct OutageWindow {
 // fire. Lookups are O(1); link keys are order-independent.
 class FaultState {
  public:
-  // Advance the live state. With record = false only the state flips —
-  // no stats counting, no outage-window bookkeeping. The sharded simulator
-  // replicates every fault event to all shards (each needs the link/crash
-  // state for its own brokers' hot paths) but designates exactly one
-  // recording replica, so counters and windows are not multiplied.
-  void apply(const FaultEvent& ev, bool record = true);
+  // Advance the live state, counting the transition and recording outage
+  // windows.
+  void apply(const FaultEvent& ev);
 
   [[nodiscard]] bool is_crashed(BrokerId b) const { return crashed_.contains(b); }
   [[nodiscard]] bool link_is_down(BrokerId a, BrokerId b) const {

@@ -40,7 +40,7 @@ LossAudit audit_losses(const Simulation& sim, StockQuoteGenerator quotes,
 
   const auto pending = sim.pending_retransmits();
   const auto deferred = sim.pending_admissions();
-  const auto shed = sim.shed_publications();
+  const auto& shed = sim.shed_publications();
   const auto& stranded = sim.stranded_messages();
   const FaultState& faults = sim.fault_state();
   const SimTime horizon = sim.now_us();

@@ -39,21 +39,6 @@ double MetricsCollector::avg_delay_ms() const {
   return total_s * 1000.0 / static_cast<double>(deliveries_);
 }
 
-void MetricsCollector::merge_from(const MetricsCollector& other) {
-  for (const auto& [b, t] : other.traffic_) {
-    BrokerTraffic& mine = traffic_[b];
-    mine.msgs_in += t.msgs_in;
-    mine.msgs_out += t.msgs_out;
-    mine.local_deliveries += t.local_deliveries;
-    mine.hop_total += t.hop_total;
-    mine.delay_total_s += t.delay_total_s;
-  }
-  publications_ += other.publications_;
-  deliveries_ += other.deliveries_;
-  hop_total_ += other.hop_total_;
-  delays_.merge(other.delays_);
-}
-
 void MetricsCollector::reset() {
   traffic_.clear();
   publications_ = 0;

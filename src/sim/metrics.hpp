@@ -27,7 +27,7 @@ class DelayHistogram {
   }
   [[nodiscard]] std::uint64_t samples() const { return hist_.samples(); }
   // Add another histogram's samples (integer bucket counts, so merging is
-  // order-free — the sharded simulator reduces per-shard histograms).
+  // order-free — the control loop folds per-window histograms this way).
   void merge(const DelayHistogram& other) { hist_.merge(other.hist_); }
   void reset() { hist_.reset(); }
 
@@ -46,9 +46,7 @@ struct BrokerTraffic {
   std::uint64_t hop_total = 0;      // broker hops summed over local deliveries
   // Delivery delay summed per broker. Floating-point addition is
   // order-sensitive, so the global total is always reduced from these
-  // per-broker sums in ascending broker-id order — each broker's delivery
-  // order is shard-invariant, which makes the reduced total bit-identical
-  // for any worker count.
+  // per-broker sums in ascending broker-id order, never in hash-map order.
   double delay_total_s = 0;
 };
 
@@ -97,12 +95,6 @@ class MetricsCollector {
   [[nodiscard]] double avg_hops() const;
   [[nodiscard]] double avg_delay_ms() const;
   [[nodiscard]] const DelayHistogram& delay_histogram() const { return delays_; }
-
-  // Fold another collector in (disjoint broker sets in the sharded
-  // simulator; integer counters and per-broker partial sums, so the merged
-  // collector is independent of merge order up to map iteration order,
-  // which no consumer observes).
-  void merge_from(const MetricsCollector& other);
 
   void reset();
 

@@ -8,10 +8,9 @@
 // Blocks are returned when the last reference drops, wherever that happens;
 // the shared State keeps the free list alive until the final publication
 // dies, so pooled publications may safely outlive the pool and the
-// simulation that created them. The free list is mutex-protected: in the
-// sharded simulation a publication's last reference can drop on any worker
-// thread (the receiving shard of a cross-shard forward), not just the one
-// that acquired it.
+// simulation that created them. The free list is mutex-protected: the last
+// reference to a publication can drop on any thread that holds one, not
+// just the one that acquired it.
 #pragma once
 
 #include <cstddef>

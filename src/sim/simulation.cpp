@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
-#include <limits>
 
 #include "common/logging.hpp"
-#include "matching/matching_engine.hpp"
 #include "matching/relations.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/shard_partitioner.hpp"
 
 namespace greenps {
 
@@ -46,20 +42,8 @@ std::uint64_t drop_seed(BrokerId b) {
 
 }  // namespace
 
-std::size_t SimOptions::resolve_workers(std::size_t requested) {
-  if (requested > 0) return requested;
-  if (const char* v = std::getenv("GREENPS_SIM_WORKERS"); v != nullptr && *v != '\0') {
-    const long n = std::strtol(v, nullptr, 10);
-    if (n > 0) return static_cast<std::size_t>(n);
-  }
-  return 1;
-}
-
-Simulation::Simulation(Deployment deployment, StockQuoteGenerator quotes, NetworkConfig net,
-                       SimOptions opts)
-    : quotes_(std::move(quotes)),
-      net_(net),
-      workers_(SimOptions::resolve_workers(opts.workers)) {
+Simulation::Simulation(Deployment deployment, StockQuoteGenerator quotes, NetworkConfig net)
+    : quotes_(std::move(quotes)), net_(net) {
   redeploy(std::move(deployment));
 }
 
@@ -75,48 +59,27 @@ const Broker& Simulation::broker(BrokerId id) const {
   return *it->second.broker;
 }
 
-std::size_t Simulation::pick_shard_count() const {
-  std::size_t n = std::min(workers_, std::max<std::size_t>(
-                                         deployment_.topology.broker_count(), 1));
-  if (n <= 1) return 1;
-  // Zero link latency leaves no conservative lookahead to window on.
-  if (net_.link_latency <= 0) return 1;
-  // Publishers sharing a symbol (one price walk) or an advertisement (one
-  // sequence counter) would race across shards; such workloads run on one.
-  std::unordered_set<std::string> symbols;
-  std::unordered_set<AdvId> advs;
-  for (const auto& pub : deployment_.publishers) {
-    if (!symbols.insert(pub.symbol).second || !advs.insert(pub.adv).second) return 1;
-  }
-  return n;
-}
-
 void Simulation::redeploy(Deployment deployment) {
   snapshot_profiled_rates();  // keep the last window's rates across epochs
-  // Messages parked in retransmit/deferred buffers die with the shards —
+  // Messages parked in retransmit/deferred buffers die with the epoch —
   // if the buffering broker is decommissioned mid-outage there is no
   // restart to replay them. Record them as stranded (cumulative) so the
   // loss oracle can excuse instead of silently losing them.
   sweep_stranded();
   deployment_ = std::move(deployment);
+  queue_.clear();
   brokers_.clear();
   publishers_.clear();
-  const std::size_t num_shards = pick_shard_count();
-  loop_.reset(num_shards);
-  shards_.clear();
-  shards_.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_[s]->index = s;
-  }
   metrics_.reset();
   measured_s_ = 0;
   publishers_scheduled_ = false;
   sampler_scheduled_ = false;
   // The sampler's epoch ends with the deployment: the event clock restarts
   // at zero, so keeping old rows would interleave two timelines in one
-  // series (the canonical (time, key) sort would shuffle them together).
+  // series.
   sampler_.clear();
+  sample_baselines_.clear();
+  sampler_key_seq_ = 0;
   // Fault epoch ends with the deployment: pending fault events died with
   // the queue, active faults and buffers are meaningless for new brokers.
   faults_active_ = false;
@@ -126,33 +89,23 @@ void Simulation::redeploy(Deployment deployment) {
   retransmit_caps_.clear();
   publish_ledger_.clear();
   ledger_enabled_ = false;
+  retransmit_.clear();
+  deferred_.clear();
+  shed_.clear();
 
-  // Shard assignment: contiguous cuts of the overlay, balanced by hosted
-  // clients (a proxy for per-broker event volume).
-  std::unordered_map<BrokerId, std::size_t> weight;
-  for (const auto& sub : deployment_.subscribers) weight[sub.home] += 1;
-  for (const auto& pub : deployment_.publishers) weight[pub.home] += 1;
-  const ShardPlan plan = partition_brokers(deployment_.topology, weight, num_shards);
-  obs::MetricsRegistry::global().gauge("sim.shards").set(static_cast<double>(num_shards));
-  obs::MetricsRegistry::global()
-      .gauge("sim.cross_shard_links")
-      .set(static_cast<double>(plan.cross_links));
-
-  // Dense ordinals in ascending-id order feed the event keys; the same
-  // deployment gets the same keys no matter how many shards it runs on.
-  std::vector<BrokerId> ids = deployment_.topology.brokers();
-  std::sort(ids.begin(), ids.end());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const BrokerId b = ids[i];
+  // Dense ordinals in ascending-id order feed the event keys, so the same
+  // deployment always gets the same keys.
+  broker_ids_ = deployment_.topology.brokers();
+  std::sort(broker_ids_.begin(), broker_ids_.end());
+  for (std::size_t i = 0; i < broker_ids_.size(); ++i) {
+    const BrokerId b = broker_ids_[i];
     const auto cap_it = deployment_.capacities.find(b);
     const BrokerCapacity cap =
         cap_it != deployment_.capacities.end() ? cap_it->second : BrokerCapacity{};
     BrokerSlot slot;
     slot.broker = std::make_unique<Broker>(b, cap, deployment_.profile_window_bits);
-    slot.shard = shards_[plan.shard_of(b)].get();
     slot.ord = i;
     slot.drop_rng = Rng(drop_seed(b));
-    slot.shard->owned_sorted.push_back(b);  // ids ascend, so this stays sorted
     brokers_.emplace(b, std::move(slot));
   }
   for (std::size_t i = 0; i < deployment_.publishers.size(); ++i) {
@@ -164,12 +117,8 @@ void Simulation::redeploy(Deployment deployment) {
     st.next_seq = seq_it->second;
     st.seq_slot = &seq_it->second;
     st.home = &brokers_.at(spec.home);
-    st.shard = st.home->shard;
-    st.ord = ids.size() + i;
+    st.ord = broker_ids_.size() + i;
     publishers_.push_back(std::move(st));
-    // Pre-create the symbol's walk state: worker threads must never insert
-    // into the generator's map concurrently.
-    quotes_.prewarm(spec.symbol);
   }
   client_hosts_.clear();
   for (const auto& sub : deployment_.subscribers) client_hosts_.insert(sub.home);
@@ -225,7 +174,7 @@ void Simulation::install_routing() {
     }
   }
 
-  // Freeze: compile every SRT once. Shards only ever read the compiled
+  // Freeze: compile every SRT once. run() only ever reads the compiled
   // tables; nothing writes routing state again until the next redeploy.
   for (auto& [id, slot] : brokers_) {
     (void)id;
@@ -236,32 +185,29 @@ void Simulation::install_routing() {
 void Simulation::schedule_publisher(std::size_t pub_index, SimTime first) {
   PublisherState& st = publishers_[pub_index];
   if (st.spec.rate_msg_s <= 0) return;
-  loop_.queue(st.shard->index)
-      .schedule_keyed(first, make_key(kSourceClass, st.ord, st.key_seq++),
-                      [this, pub_index] { publish(pub_index); });
+  queue_.schedule_keyed(first, make_key(kSourceClass, st.ord, st.key_seq++),
+                        [this, pub_index] { publish(pub_index); });
 }
 
 void Simulation::publish(std::size_t pub_index) {
   PublisherState& st = publishers_[pub_index];
-  Shard& sh = *st.shard;
-  EventQueue& q = loop_.queue(sh.index);
-  const SimTime now = q.now();
+  const SimTime now = queue_.now();
 
-  std::shared_ptr<Publication> pub = sh.pub_pool.acquire();
+  std::shared_ptr<Publication> pub = pub_pool_.acquire();
   quotes_.next_into(st.spec.symbol, *pub);
   const MessageSeq seq = st.next_seq++;
   *st.seq_slot = st.next_seq;
   pub->set_header(st.spec.adv, seq);
-  sh.metrics.on_publication();
+  metrics_.on_publication();
   BrokerSlot& home = *st.home;
   // A crashed home broker rejects the publication at its door. The quote
   // draw and sequence increment above still happened, so the per-symbol
   // price walk and seq<->quote mapping stay aligned with a fault-free run
   // and the loss oracle can regenerate exactly what was lost.
   const bool home_down = faults_active_ && home.broker->crashed();
-  if (ledger_enabled_) sh.ledger.push_back({st.spec.adv, seq, now, home_down});
+  if (ledger_enabled_) publish_ledger_.push_back({st.spec.adv, seq, now, home_down});
   if (home_down) {
-    sh.faults.stats().pubs_dropped_at_source += 1;
+    faults_.stats().pubs_dropped_at_source += 1;
   } else if (admission_active_ &&
              to_seconds(std::max<SimTime>(home.broker->out_link().busy_until() - now, 0)) >
                  fault_options_.admission_backlog_s) {
@@ -273,115 +219,105 @@ void Simulation::publish(std::size_t pub_index) {
   } else {
     home.broker->cbc().record_publish(st.spec.adv, seq, pub->size_kb(), now);
     const SimTime arrival = now + net_.client_latency;
-    q.schedule_keyed(arrival, make_key(kSourceClass, st.ord, st.key_seq++),
-                     [this, pub = std::move(pub), slot = &home, now] {
-                       arrive_at_broker(*slot, pub, BrokerId{}, /*has_from=*/false,
-                                        /*broker_hops=*/0, now);
-                     });
+    queue_.schedule_keyed(arrival, make_key(kSourceClass, st.ord, st.key_seq++),
+                          [this, pub = std::move(pub), slot = &home, now] {
+                            arrive_at_broker(*slot, pub, BrokerId{}, /*has_from=*/false,
+                                             /*broker_hops=*/0, now);
+                          });
   }
 
   // Next publication, fixed inter-arrival spacing.
   const auto period = static_cast<SimTime>(
       std::llround(static_cast<double>(kMicrosPerSecond) / st.spec.rate_msg_s));
-  q.schedule_keyed(now + std::max<SimTime>(period, 1),
-                   make_key(kSourceClass, st.ord, st.key_seq++),
-                   [this, pub_index] { publish(pub_index); });
+  queue_.schedule_keyed(now + std::max<SimTime>(period, 1),
+                        make_key(kSourceClass, st.ord, st.key_seq++),
+                        [this, pub_index] { publish(pub_index); });
 }
 
 void Simulation::arrive_at_broker(BrokerSlot& slot, std::shared_ptr<const Publication> pub,
                                   BrokerId from, bool has_from, int broker_hops,
                                   SimTime publish_time) {
   Broker& br = *slot.broker;
-  Shard& sh = *slot.shard;
-  EventQueue& q = loop_.queue(sh.index);
   const BrokerId b = br.id();
   if (faults_active_ && br.crashed()) {
     // Messages aimed at a dead broker never enter its queues. With
     // retransmit-on-reconnect the neighbor holds the message and replays
     // it after the restart (store-and-forward); otherwise it is lost.
-    sh.faults.stats().arrivals_dropped += 1;
+    faults_.stats().arrivals_dropped += 1;
     if (fault_options_.retransmit_on_reconnect) {
       buffer_for_retransmit(
-          sh, b, BufferedArrival{std::move(pub), from, has_from, /*is_delivery=*/false,
+          b, BufferedArrival{std::move(pub), from, has_from, /*is_delivery=*/false,
                                  SubId{}, broker_hops, publish_time});
     }
     return;
   }
-  BrokerTraffic& traffic = sh.metrics.traffic_for(b);
+  BrokerTraffic& traffic = metrics_.traffic_for(b);
   traffic.msgs_in += 1;
   const int hops_here = broker_hops + 1;
 
   const SimTime service = br.matching_service_time();
   br.cbc().record_matching(br.srt().filter_count(), service);
-  const SimTime matched_at = br.matcher().serve(q.now(), service);
+  const SimTime matched_at = br.matcher().serve(queue_.now(), service);
   const BrokerId* exclude = has_from ? &from : nullptr;
   // Routing decision is computed against current tables; the simulator's
   // tables are static during a run, so evaluating now is equivalent to
   // evaluating at matched_at and avoids copying the tables into the closure.
   // The scratch result is consumed before this function returns (the
   // scheduled closures don't reference it), so reuse across arrivals is safe.
-  br.route_into(*pub, exclude, sh.route_scratch, sh.match_scratch);
-  const auto& decision = sh.route_scratch;
+  br.route_into(*pub, exclude, route_scratch_, match_scratch_);
+  const auto& decision = route_scratch_;
 
   const MsgSize size = pub->size_kb();
   for (const BrokerId next : decision.forward_to) {
     if (faults_active_) {
-      if (sh.faults.link_is_down(b, next)) {
-        sh.faults.stats().msgs_dropped_link_down += 1;
+      if (faults_.link_is_down(b, next)) {
+        faults_.stats().msgs_dropped_link_down += 1;
         continue;
       }
-      const double p = sh.faults.drop_prob(b, next);
+      const double p = faults_.drop_prob(b, next);
       if (p > 0 && slot.drop_rng.chance(p)) {
-        sh.faults.stats().msgs_dropped_random += 1;
+        faults_.stats().msgs_dropped_random += 1;
         continue;
       }
     }
     const SimTime sent_at = br.out_link().transmit(matched_at, size);
     traffic.msgs_out += 1;
     const SimTime hop_latency =
-        net_.link_latency + (faults_active_ ? sh.faults.extra_latency() : 0);
-    // Lookahead contract (sim/sharded_engine.hpp): sent_at >= now + the
-    // sender's matching service time and hop_latency >= link latency, so a
-    // cross-shard arrival is always at least shard_lookahead() ahead.
+        net_.link_latency + (faults_active_ ? faults_.extra_latency() : 0);
     BrokerSlot* next_slot = &brokers_.at(next);
-    const SimTime at = sent_at + hop_latency;
-    const EventKey key = make_key(kSourceClass, slot.ord, slot.key_seq++);
-    EventQueue::Action action = [this, next_slot, pub, b, hops_here, publish_time] {
-      arrive_at_broker(*next_slot, pub, b, /*has_from=*/true, hops_here, publish_time);
-    };
-    if (next_slot->shard == &sh) {
-      q.schedule_keyed(at, key, std::move(action));
-    } else {
-      loop_.post(sh.index, next_slot->shard->index, at, key, std::move(action));
-    }
+    queue_.schedule_keyed(
+        sent_at + hop_latency, make_key(kSourceClass, slot.ord, slot.key_seq++),
+        [this, next_slot, pub, b, hops_here, publish_time] {
+          arrive_at_broker(*next_slot, pub, b, /*has_from=*/true, hops_here, publish_time);
+        });
   }
   for (const auto& [sub_id, client] : decision.deliver) {
     const SimTime sent_at = br.out_link().transmit(matched_at, size);
     traffic.msgs_out += 1;
     const SimTime delivered_at = sent_at + net_.client_latency;
-    q.schedule_keyed(delivered_at, make_key(kSourceClass, slot.ord, slot.key_seq++),
-                     [this, sp = &slot, sub_id = sub_id, pub, hops_here, publish_time,
-                      delivered_at] {
-                       Shard& s2 = *sp->shard;
-                       if (faults_active_ && sp->broker->crashed()) {
-                         // The home broker died while the message was on the
-                         // client link: the subscriber is detached, so the
-                         // delivery never lands. With retransmit enabled it is
-                         // re-delivered after the restart.
-                         s2.faults.stats().deliveries_dropped += 1;
-                         if (fault_options_.retransmit_on_reconnect) {
-                           buffer_for_retransmit(
-                               s2, sp->broker->id(),
-                               BufferedArrival{pub, BrokerId{}, false,
-                                               /*is_delivery=*/true, sub_id, hops_here,
-                                               publish_time});
-                         }
-                         return;
-                       }
-                       s2.metrics.on_delivery(sp->broker->id(), hops_here,
-                                              delivered_at - publish_time);
-                       sp->broker->cbc().record_delivery(sub_id, pub->adv_id(), pub->seq());
-                     });
+    queue_.schedule_keyed(delivered_at, make_key(kSourceClass, slot.ord, slot.key_seq++),
+                          [this, sp = &slot, sub_id = sub_id, pub, hops_here, publish_time,
+                           delivered_at] {
+                            if (faults_active_ && sp->broker->crashed()) {
+                              // The home broker died while the message was on
+                              // the client link: the subscriber is detached, so
+                              // the delivery never lands. With retransmit
+                              // enabled it is re-delivered after the restart.
+                              faults_.stats().deliveries_dropped += 1;
+                              if (fault_options_.retransmit_on_reconnect) {
+                                buffer_for_retransmit(
+                                    sp->broker->id(),
+                                    BufferedArrival{pub, BrokerId{}, false,
+                                                    /*is_delivery=*/true, sub_id, hops_here,
+                                                    publish_time});
+                              }
+                              return;
+                            }
+                            metrics_.on_delivery(sp->broker->id(), hops_here,
+                                                 delivered_at - publish_time);
+                            sp->broker->cbc().record_delivery(sub_id, pub->adv_id(),
+                                                              pub->seq());
+                          });
   }
 }
 
@@ -395,100 +331,68 @@ void Simulation::install_faults(FaultSchedule schedule, FaultOptions options) {
   derive_retransmit_caps(schedule);
   if (schedule.empty()) return;
   faults_active_ = true;
-  const SimTime now = loop_.now();
+  const SimTime now = queue_.now();
   for (const FaultEvent& ev : schedule.events()) {
-    // Replicate onto every shard under one shared key: each replica flips
-    // its shard's FaultState at the same point in the event order. Replicas
-    // beyond shard 0 are bookkeeping, excluded from events_executed().
-    const EventKey key = make_key(kFaultClass, 0, fault_key_seq_++);
-    const SimTime at = std::max(ev.at, now);
-    for (auto& shp : shards_) {
-      Shard* sh = shp.get();
-      loop_.queue(sh->index).schedule_keyed(at, key, [this, ev, sh] {
-        if (sh->index != 0) sh->aux_events += 1;
-        apply_fault(ev, *sh);
-      });
-    }
+    queue_.schedule_keyed(std::max(ev.at, now), make_key(kFaultClass, 0, fault_key_seq_++),
+                          [this, ev] { apply_fault(ev); });
   }
 }
 
 void Simulation::inject_fault(FaultEvent ev) {
   faults_active_ = true;
   ledger_enabled_ = true;
-  for (auto& sh : shards_) apply_fault(ev, *sh);
-  rebuild_fault_view();
+  apply_fault(ev);
 }
 
-void Simulation::apply_fault(const FaultEvent& scheduled, Shard& sh) {
+void Simulation::apply_fault(const FaultEvent& scheduled) {
   // Stamp with the actual fire time: events armed in the past were clamped
   // to "now", and outage windows must reflect when the broker really died.
   FaultEvent ev = scheduled;
-  ev.at = loop_.queue(sh.index).now();
-  const bool record = sh.index == 0;
+  ev.at = queue_.now();
   auto& reg = obs::MetricsRegistry::global();
   switch (ev.kind) {
     case FaultKind::kBrokerCrash: {
       const auto it = brokers_.find(ev.broker);
-      // Dedup against this replica's own state: every replica sees the same
-      // fault sequence, so all of them agree (the Broker object belongs to
-      // one shard and cannot be consulted from the others).
-      if (it == brokers_.end() || sh.faults.is_crashed(ev.broker)) return;
-      sh.faults.apply(ev, record);
-      if (it->second.shard == &sh) it->second.broker->on_crash();
-      if (record) {
-        obs::trace_instant("fault.broker_crash",
-                           static_cast<std::uint64_t>(ev.broker.value()));
-        reg.counter("fault.broker_crashes").add(1);
-      }
+      if (it == brokers_.end() || faults_.is_crashed(ev.broker)) return;
+      faults_.apply(ev);
+      it->second.broker->on_crash();
+      obs::trace_instant("fault.broker_crash", static_cast<std::uint64_t>(ev.broker.value()));
+      reg.counter("fault.broker_crashes").add(1);
       break;
     }
     case FaultKind::kBrokerRestart: {
       const auto it = brokers_.find(ev.broker);
-      if (it == brokers_.end() || !sh.faults.is_crashed(ev.broker)) return;
-      sh.faults.apply(ev, record);
-      if (it->second.shard == &sh) {
-        it->second.broker->on_restart();
-        if (fault_options_.retransmit_on_reconnect) replay_retransmits(it->second);
-      }
-      if (record) {
-        obs::trace_instant("fault.broker_restart",
-                           static_cast<std::uint64_t>(ev.broker.value()));
-        reg.counter("fault.broker_restarts").add(1);
-      }
+      if (it == brokers_.end() || !faults_.is_crashed(ev.broker)) return;
+      faults_.apply(ev);
+      it->second.broker->on_restart();
+      if (fault_options_.retransmit_on_reconnect) replay_retransmits(it->second);
+      obs::trace_instant("fault.broker_restart",
+                         static_cast<std::uint64_t>(ev.broker.value()));
+      reg.counter("fault.broker_restarts").add(1);
       break;
     }
     case FaultKind::kLinkDown:
-      sh.faults.apply(ev, record);
-      if (record) {
-        obs::trace_instant("fault.link_down", static_cast<std::uint64_t>(ev.broker.value()));
-        reg.counter("fault.link_downs").add(1);
-      }
+      faults_.apply(ev);
+      obs::trace_instant("fault.link_down", static_cast<std::uint64_t>(ev.broker.value()));
+      reg.counter("fault.link_downs").add(1);
       break;
     case FaultKind::kLinkUp:
-      sh.faults.apply(ev, record);
-      if (record) {
-        obs::trace_instant("fault.link_up", static_cast<std::uint64_t>(ev.broker.value()));
-        reg.counter("fault.link_ups").add(1);
-      }
+      faults_.apply(ev);
+      obs::trace_instant("fault.link_up", static_cast<std::uint64_t>(ev.broker.value()));
+      reg.counter("fault.link_ups").add(1);
       break;
     case FaultKind::kLinkDrop:
-      sh.faults.apply(ev, record);
-      if (record) {
-        obs::trace_instant("fault.link_drop");
-        reg.counter("fault.link_drop_windows").add(1);
-      }
+      faults_.apply(ev);
+      obs::trace_instant("fault.link_drop");
+      reg.counter("fault.link_drop_windows").add(1);
       break;
     case FaultKind::kLatencySpike:
-      sh.faults.apply(ev, record);
-      if (record) {
-        obs::trace_instant("fault.latency_spike");
-        reg.counter("fault.latency_spikes").add(1);
-      }
+      faults_.apply(ev);
+      obs::trace_instant("fault.latency_spike");
+      reg.counter("fault.latency_spikes").add(1);
       break;
   }
-  if (record) {
-    GREENPS_COUNTER("fault.crashed_brokers", sh.faults.crashed_count());
-  }
+  GREENPS_COUNTER("fault.crashed_brokers", faults_.crashed_count());
 }
 
 std::size_t Simulation::retransmit_cap(BrokerId b) const {
@@ -524,66 +428,62 @@ void Simulation::derive_retransmit_caps(const FaultSchedule& schedule) {
   }
 }
 
-void Simulation::buffer_for_retransmit(Shard& sh, BrokerId at, BufferedArrival&& entry) {
-  auto& buf = sh.retransmit[at];
+void Simulation::buffer_for_retransmit(BrokerId at, BufferedArrival&& entry) {
+  auto& buf = retransmit_[at];
   if (buf.size() >= retransmit_cap(at)) {
-    sh.faults.stats().retransmit_overflow += 1;
+    faults_.stats().retransmit_overflow += 1;
     return;
   }
   buf.push_back(std::move(entry));
 }
 
 void Simulation::replay_retransmits(BrokerSlot& slot) {
-  Shard& sh = *slot.shard;
-  const auto it = sh.retransmit.find(slot.broker->id());
-  if (it == sh.retransmit.end() || it->second.empty()) return;
+  const auto it = retransmit_.find(slot.broker->id());
+  if (it == retransmit_.end() || it->second.empty()) return;
   std::vector<BufferedArrival> entries = std::move(it->second);
-  sh.retransmit.erase(it);
-  EventQueue& q = loop_.queue(sh.index);
-  const SimTime at = q.now() + net_.reconnect_latency;
+  retransmit_.erase(it);
+  const SimTime at = queue_.now() + net_.reconnect_latency;
   obs::trace_instant("fault.retransmit_replay", entries.size());
   for (BufferedArrival& e : entries) {
-    sh.faults.stats().retransmits_replayed += 1;
+    faults_.stats().retransmits_replayed += 1;
     if (e.is_delivery) {
       // Final hop was lost: re-deliver straight to the local subscriber.
-      q.schedule_keyed(at, make_key(kSourceClass, slot.ord, slot.key_seq++),
-                       [this, sp = &slot, e = std::move(e)] {
-                         Shard& s2 = *sp->shard;
-                         if (sp->broker->crashed()) {  // crashed again before the replay
-                           s2.faults.stats().deliveries_dropped += 1;
-                           if (fault_options_.retransmit_on_reconnect) {
-                             buffer_for_retransmit(s2, sp->broker->id(), BufferedArrival{e});
-                           }
-                           return;
-                         }
-                         s2.metrics.traffic_for(sp->broker->id()).msgs_out += 1;
-                         s2.metrics.on_delivery(sp->broker->id(), e.broker_hops,
-                                                loop_.queue(s2.index).now() - e.publish_time);
-                         sp->broker->cbc().record_delivery(e.sub, e.pub->adv_id(),
-                                                           e.pub->seq());
-                       });
+      queue_.schedule_keyed(at, make_key(kSourceClass, slot.ord, slot.key_seq++),
+                            [this, sp = &slot, e = std::move(e)] {
+                              if (sp->broker->crashed()) {  // crashed again before the replay
+                                faults_.stats().deliveries_dropped += 1;
+                                if (fault_options_.retransmit_on_reconnect) {
+                                  buffer_for_retransmit(sp->broker->id(), BufferedArrival{e});
+                                }
+                                return;
+                              }
+                              metrics_.traffic_for(sp->broker->id()).msgs_out += 1;
+                              metrics_.on_delivery(sp->broker->id(), e.broker_hops,
+                                                   queue_.now() - e.publish_time);
+                              sp->broker->cbc().record_delivery(e.sub, e.pub->adv_id(),
+                                                                e.pub->seq());
+                            });
     } else {
       // Re-run the arrival; arrive_at_broker re-buffers if down again.
-      q.schedule_keyed(at, make_key(kSourceClass, slot.ord, slot.key_seq++),
-                       [this, sp = &slot, e = std::move(e)] {
-                         arrive_at_broker(*sp, e.pub, e.from, e.has_from, e.broker_hops,
-                                          e.publish_time);
-                       });
+      queue_.schedule_keyed(at, make_key(kSourceClass, slot.ord, slot.key_seq++),
+                            [this, sp = &slot, e = std::move(e)] {
+                              arrive_at_broker(*sp, e.pub, e.from, e.has_from, e.broker_hops,
+                                               e.publish_time);
+                            });
     }
   }
 }
 
 void Simulation::defer_publication(BrokerSlot& home, std::shared_ptr<Publication> pub,
                                    SimTime published_at) {
-  Shard& sh = *home.shard;
-  DeferredQueue& dq = sh.deferred[home.broker->id()];
+  DeferredQueue& dq = deferred_[home.broker->id()];
   if (dq.entries.size() >= fault_options_.admission_max_deferred) {
     // Back-pressure at the door: the freshest message is the one shed.
-    sh.faults.stats().pubs_shed_admission += 1;
-    sh.shed.emplace(pub->adv_id(), pub->seq());
+    faults_.stats().pubs_shed_admission += 1;
+    shed_.emplace(pub->adv_id(), pub->seq());
     return;
   }
-  sh.faults.stats().pubs_deferred_admission += 1;
+  faults_.stats().pubs_deferred_admission += 1;
   dq.entries.push_back(DeferredPub{std::move(pub), published_at});
   if (!dq.drain_scheduled) {
     dq.drain_scheduled = true;
@@ -592,24 +492,20 @@ void Simulation::defer_publication(BrokerSlot& home, std::shared_ptr<Publication
 }
 
 void Simulation::schedule_admission_drain(BrokerSlot& slot) {
-  Shard& sh = *slot.shard;
-  EventQueue& q = loop_.queue(sh.index);
   const SimTime retry = std::max<SimTime>(seconds(fault_options_.admission_retry_s), 1);
-  q.schedule_keyed(q.now() + retry, make_key(kSourceClass, slot.ord, slot.key_seq++),
-                   [this, sp = &slot] { drain_admissions(*sp); });
+  queue_.schedule_keyed(queue_.now() + retry, make_key(kSourceClass, slot.ord, slot.key_seq++),
+                        [this, sp = &slot] { drain_admissions(*sp); });
 }
 
 void Simulation::drain_admissions(BrokerSlot& slot) {
-  Shard& sh = *slot.shard;
-  const auto it = sh.deferred.find(slot.broker->id());
-  if (it == sh.deferred.end()) return;
+  const auto it = deferred_.find(slot.broker->id());
+  if (it == deferred_.end()) return;
   DeferredQueue& dq = it->second;
   if (dq.entries.empty()) {
     dq.drain_scheduled = false;
     return;
   }
-  EventQueue& q = loop_.queue(sh.index);
-  const SimTime now = q.now();
+  const SimTime now = queue_.now();
   const double backlog_s =
       to_seconds(std::max<SimTime>(slot.broker->out_link().busy_until() - now, 0));
   // A crashed home holds its parked messages (re-admitting them would only
@@ -621,22 +517,22 @@ void Simulation::drain_admissions(BrokerSlot& slot) {
     for (std::size_t i = 0; i < n; ++i) {
       DeferredPub e = std::move(dq.entries.front());
       dq.entries.pop_front();
-      sh.faults.stats().pubs_readmitted += 1;
+      faults_.stats().pubs_readmitted += 1;
       slot.broker->cbc().record_publish(e.pub->adv_id(), e.pub->seq(), e.pub->size_kb(),
                                         now);
       // Re-stamp the ledger at re-admission: the oracle's horizon-slack
       // excuse must measure from when the message actually entered the
       // system, not from when it was parked (later rows win in its map).
       if (ledger_enabled_) {
-        sh.ledger.push_back({e.pub->adv_id(), e.pub->seq(), now, false});
+        publish_ledger_.push_back({e.pub->adv_id(), e.pub->seq(), now, false});
       }
-      q.schedule_keyed(now + net_.client_latency,
-                       make_key(kSourceClass, slot.ord, slot.key_seq++),
-                       [this, sp = &slot, pub = std::move(e.pub),
-                        at = e.published_at]() mutable {
-                         arrive_at_broker(*sp, std::move(pub), BrokerId{},
-                                          /*has_from=*/false, /*broker_hops=*/0, at);
-                       });
+      queue_.schedule_keyed(now + net_.client_latency,
+                            make_key(kSourceClass, slot.ord, slot.key_seq++),
+                            [this, sp = &slot, pub = std::move(e.pub),
+                             at = e.published_at]() mutable {
+                              arrive_at_broker(*sp, std::move(pub), BrokerId{},
+                                               /*has_from=*/false, /*broker_hops=*/0, at);
+                            });
     }
   }
   if (dq.entries.empty()) {
@@ -647,18 +543,16 @@ void Simulation::drain_admissions(BrokerSlot& slot) {
 }
 
 void Simulation::sweep_stranded() {
-  for (const auto& sh : shards_) {
-    for (const auto& [b, buf] : sh->retransmit) {
-      (void)b;
-      for (const BufferedArrival& e : buf) {
-        if (stranded_.emplace(e.pub->adv_id(), e.pub->seq()).second) stranded_total_ += 1;
-      }
+  for (const auto& [b, buf] : retransmit_) {
+    (void)b;
+    for (const BufferedArrival& e : buf) {
+      if (stranded_.emplace(e.pub->adv_id(), e.pub->seq()).second) stranded_total_ += 1;
     }
-    for (const auto& [b, dq] : sh->deferred) {
-      (void)b;
-      for (const DeferredPub& e : dq.entries) {
-        if (stranded_.emplace(e.pub->adv_id(), e.pub->seq()).second) stranded_total_ += 1;
-      }
+  }
+  for (const auto& [b, dq] : deferred_) {
+    (void)b;
+    for (const DeferredPub& e : dq.entries) {
+      if (stranded_.emplace(e.pub->adv_id(), e.pub->seq()).second) stranded_total_ += 1;
     }
   }
 }
@@ -680,49 +574,24 @@ std::optional<std::uint64_t> Simulation::broker_epoch_if_reachable(BrokerId id) 
 
 std::set<std::pair<AdvId, MessageSeq>> Simulation::pending_retransmits() const {
   std::set<std::pair<AdvId, MessageSeq>> out;
-  for (const auto& sh : shards_) {
-    for (const auto& [b, buf] : sh->retransmit) {
-      (void)b;
-      for (const BufferedArrival& e : buf) out.emplace(e.pub->adv_id(), e.pub->seq());
-    }
+  for (const auto& [b, buf] : retransmit_) {
+    (void)b;
+    for (const BufferedArrival& e : buf) out.emplace(e.pub->adv_id(), e.pub->seq());
   }
   return out;
 }
 
 std::set<std::pair<AdvId, MessageSeq>> Simulation::pending_admissions() const {
   std::set<std::pair<AdvId, MessageSeq>> out;
-  for (const auto& sh : shards_) {
-    for (const auto& [b, dq] : sh->deferred) {
-      (void)b;
-      for (const DeferredPub& e : dq.entries) out.emplace(e.pub->adv_id(), e.pub->seq());
-    }
+  for (const auto& [b, dq] : deferred_) {
+    (void)b;
+    for (const DeferredPub& e : dq.entries) out.emplace(e.pub->adv_id(), e.pub->seq());
   }
   return out;
-}
-
-std::set<std::pair<AdvId, MessageSeq>> Simulation::shed_publications() const {
-  std::set<std::pair<AdvId, MessageSeq>> out;
-  for (const auto& sh : shards_) out.insert(sh->shed.begin(), sh->shed.end());
-  return out;
-}
-
-void Simulation::ensure_pool() {
-  const std::size_t n = loop_.shard_count();
-  if (pool_ == nullptr || pool_->size() < n) pool_ = std::make_unique<ThreadPool>(n);
-}
-
-SimTime Simulation::shard_lookahead() const {
-  SimTime min_service = std::numeric_limits<SimTime>::max();
-  for (const auto& [id, slot] : brokers_) {
-    (void)id;
-    min_service = std::min(min_service, slot.broker->matching_service_time());
-  }
-  if (min_service == std::numeric_limits<SimTime>::max()) min_service = 0;
-  return net_.link_latency + min_service;
 }
 
 void Simulation::run(double duration_s) {
-  const SimTime start = loop_.now();
+  const SimTime start = queue_.now();
   const SimTime end = start + seconds(duration_s);
   if (!publishers_scheduled_) {
     // Start publishers, staggering initial publications across one period
@@ -739,32 +608,19 @@ void Simulation::run(double duration_s) {
     publishers_scheduled_ = true;
   }
   if (sample_interval_us_ > 0 && !sampler_scheduled_) {
-    for (auto& sh : shards_) schedule_sample(*sh, start + sample_interval_us_);
+    // Sampling resumed mid-epoch: measure the first interval from now, not
+    // from the last sample before the pause.
+    for (auto& [id, base] : sample_baselines_) base = sample_counters(id);
+    schedule_sample(sample_interval_us_);
     sampler_scheduled_ = true;
   }
   {
     GREENPS_SPAN("sim.run");
-    if (loop_.shard_count() <= 1) {
-      loop_.run(end, 0, nullptr);
-    } else {
-      ensure_pool();
-      // Match-walk counters are thread_local; harvest each worker slot's
-      // delta and fold it into the caller's counter after the join.
-      loop_.run(
-          end, shard_lookahead(), pool_.get(),
-          [this](std::size_t s) { shards_[s]->walk_base = MatchingEngine::match_walks(); },
-          [this](std::size_t s) {
-            shards_[s]->walk_delta = MatchingEngine::match_walks() - shards_[s]->walk_base;
-          });
-      for (std::size_t s = 1; s < shards_.size(); ++s) {
-        MatchingEngine::add_match_walks(shards_[s]->walk_delta);
-      }
-    }
+    queue_.run_until(end);
   }
   // Events past `end` (in-flight deliveries, future publications) stay
   // queued; a subsequent run() continues seamlessly.
   measured_s_ += duration_s;
-  rebuild_master_state();
   if (sampler_csv_ && sample_interval_us_ > 0 && sampler_.row_count() > 0) {
     sampler_.write_csv(obs::TimeSeriesSampler::path_from_env());
   }
@@ -784,36 +640,6 @@ void Simulation::set_sample_interval_ms(double ms) {
   sample_interval_us_ = ms > 0 ? static_cast<SimTime>(std::llround(ms * 1000.0)) : 0;
 }
 
-void Simulation::rebuild_master_state() {
-  metrics_.reset();
-  for (const auto& sh : shards_) metrics_.merge_from(sh->metrics);
-  rebuild_fault_view();
-  publish_ledger_.clear();
-  for (const auto& sh : shards_) {
-    publish_ledger_.insert(publish_ledger_.end(), sh->ledger.begin(), sh->ledger.end());
-  }
-  // Canonical order regardless of shard layout (advs are unique per
-  // publisher whenever more than one shard is in play).
-  std::stable_sort(publish_ledger_.begin(), publish_ledger_.end(),
-                   [](const PublishRecord& a, const PublishRecord& b) {
-                     if (a.at != b.at) return a.at < b.at;
-                     if (a.adv != b.adv) return a.adv < b.adv;
-                     return a.seq < b.seq;
-                   });
-  for (const auto& sh : shards_) sampler_.absorb(sh->sampler);
-  sampler_.sort_rows();
-}
-
-void Simulation::rebuild_fault_view() {
-  // Shard 0 is the recording replica: full state plus schedule-driven
-  // stats and outage windows. The other shards contribute only their
-  // hot-path drop/replay counters.
-  faults_ = shards_[0]->faults;
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    faults_.stats().add(shards_[s]->faults.stats());
-  }
-}
-
 void Simulation::snapshot_profiled_rates() {
   if (measured_s_ <= 0) return;
   profiled_rate_.clear();
@@ -823,19 +649,24 @@ void Simulation::snapshot_profiled_rates() {
   }
 }
 
-void Simulation::schedule_sample(Shard& sh, SimTime at) {
-  loop_.queue(sh.index).schedule_keyed(
-      at, make_key(kSamplerClass, sh.index, sh.sampler_key_seq++), [this, sp = &sh] {
-        if (sp->index != 0) sp->aux_events += 1;
-        take_sample(*sp);
-        schedule_sample(*sp, loop_.queue(sp->index).now() + sample_interval_us_);
-      });
+void Simulation::schedule_sample(SimTime interval) {
+  queue_.schedule_keyed(queue_.now() + interval, make_key(kSamplerClass, 0, sampler_key_seq_++),
+                        [this, interval] {
+                          // Disabled since this sample was scheduled: end the
+                          // chain; the next run() restarts it if re-enabled.
+                          if (sample_interval_us_ <= 0) {
+                            sampler_scheduled_ = false;
+                            return;
+                          }
+                          take_sample(interval);
+                          schedule_sample(sample_interval_us_);
+                        });
 }
 
-void Simulation::take_sample(Shard& sh) {
-  const SimTime now = loop_.queue(sh.index).now();
-  const double interval_s = to_seconds(sample_interval_us_);
-  for (const BrokerId id : sh.owned_sorted) {
+void Simulation::take_sample(SimTime interval) {
+  const SimTime now = queue_.now();
+  const double interval_s = to_seconds(interval);
+  for (const BrokerId id : broker_ids_) {
     const Broker& br = *brokers_.at(id).broker;
     // A crashed broker emits no row: sampler rows double as heartbeats for
     // the control plane's failure detector, and silence is the signal. The
@@ -843,48 +674,43 @@ void Simulation::take_sample(Shard& sh) {
     // are left untouched, so the first post-restart row reports the rates
     // accumulated since the last emitted row.
     if (faults_active_ && br.crashed()) continue;
-    SampleBaseline& base = sh.sample_baselines[id];
-    std::uint64_t in_now = 0;
-    std::uint64_t out_now = 0;
-    if (const auto it = sh.metrics.traffic().find(id); it != sh.metrics.traffic().end()) {
-      in_now = it->second.msgs_in;
-      out_now = it->second.msgs_out;
-    }
-    const SimTime busy_now = br.out_link().busy_time();
-    const double in_rate = static_cast<double>(in_now - base.msgs_in) / interval_s;
-    const double out_rate = static_cast<double>(out_now - base.msgs_out) / interval_s;
+    SampleBaseline& base = sample_baselines_[id];
+    const SampleBaseline cur = sample_counters(id);
+    const double in_rate = static_cast<double>(cur.msgs_in - base.msgs_in) / interval_s;
+    const double out_rate = static_cast<double>(cur.msgs_out - base.msgs_out) / interval_s;
     const double backlog_s = to_seconds(std::max<SimTime>(br.out_link().busy_until() - now, 0));
     // A crash resets the output link's busy counter, so the delta can go
     // negative mid-outage; clamp (no-op in fault-free runs, where busy
     // time is monotone).
     const double util = std::max(
         0.0,
-        static_cast<double>(busy_now - base.busy_us) / static_cast<double>(sample_interval_us_));
-    sh.sampler.append(to_seconds(now), id.value(), {in_rate, out_rate, backlog_s, util});
-    base = {in_now, out_now, busy_now};
+        static_cast<double>(cur.busy_us - base.busy_us) / static_cast<double>(interval));
+    sampler_.append(to_seconds(now), id.value(), {in_rate, out_rate, backlog_s, util});
+    base = cur;
   }
+}
+
+Simulation::SampleBaseline Simulation::sample_counters(BrokerId id) const {
+  SampleBaseline c;
+  if (const auto it = metrics_.traffic().find(id); it != metrics_.traffic().end()) {
+    c.msgs_in = it->second.msgs_in;
+    c.msgs_out = it->second.msgs_out;
+  }
+  c.busy_us = brokers_.at(id).broker->out_link().busy_time();
+  return c;
 }
 
 void Simulation::reset_metrics() {
   snapshot_profiled_rates();
   metrics_.reset();
   measured_s_ = 0;
-  for (const auto& sh : shards_) {
-    sh->metrics.reset();
-    // Traffic counters restart at zero; link busy time does not, so only
-    // the message baselines reset.
-    for (auto& [id, base] : sh->sample_baselines) {
-      (void)id;
-      base.msgs_in = 0;
-      base.msgs_out = 0;
-    }
+  // Traffic counters restart at zero; link busy time does not, so only the
+  // message baselines reset.
+  for (auto& [id, base] : sample_baselines_) {
+    (void)id;
+    base.msgs_in = 0;
+    base.msgs_out = 0;
   }
-}
-
-std::size_t Simulation::events_executed() const {
-  std::size_t aux = 0;
-  for (const auto& sh : shards_) aux += sh->aux_events;
-  return loop_.executed() - aux;
 }
 
 BrokerInfo Simulation::broker_info(BrokerId id) const {

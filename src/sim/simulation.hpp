@@ -7,18 +7,16 @@
 // subscriptions propagated toward intersecting advertisements). CBCs profile
 // deliveries, so after a measurement run CROC can gather real BrokerInfo.
 //
-// The event loop shards across worker threads (SimOptions::workers /
-// GREENPS_SIM_WORKERS): brokers are partitioned onto per-worker event queues
-// advanced in conservative lookahead windows (sim/sharded_engine.hpp), with
-// content-derived event keys making every result bit-identical to the
-// single-threaded run for any worker count.
+// One event queue drives each Simulation. Events carry content-derived
+// keys (source ordinal + per-source sequence, sim/event_queue.hpp), so the
+// execution order is a pure function of the simulated system.
 //
 // Concurrency model: routing state is build-then-freeze. redeploy() creates
 // fresh brokers, install_routing() fills their tables and freezes each SRT
-// into an immutable compiled table, all on the owner thread between run()
-// windows. During run() shards only read those tables (const match_into
-// with per-shard scratch); the one shared structure still written there is
-// the global Interner, which locks internally.
+// into an immutable compiled table; run() only reads those tables (const
+// match_into with the simulation's own scratch). One thread drives a
+// Simulation at a time. Separate Simulations may run on separate threads:
+// the one structure they share, the global Interner, locks internally.
 #pragma once
 
 #include <deque>
@@ -33,7 +31,6 @@
 
 #include "broker/broker.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/sampler.hpp"
 #include "overlay/topology.hpp"
 #include "sim/event_queue.hpp"
@@ -41,7 +38,6 @@
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/publication_pool.hpp"
-#include "sim/sharded_engine.hpp"
 #include "workload/stock_quote.hpp"
 
 namespace greenps {
@@ -71,22 +67,9 @@ struct Deployment {
   std::size_t profile_window_bits = WindowedBitVector::kDefaultCapacity;
 };
 
-// How the simulator parallelizes its event loop.
-struct SimOptions {
-  // Worker threads (= event-queue shards). 0 resolves GREENPS_SIM_WORKERS
-  // from the environment, defaulting to 1 (single-threaded). The effective
-  // count is clamped to the broker count and forced to 1 when the workload
-  // cannot be sharded safely (zero link latency, or publishers sharing a
-  // symbol or advertisement stream); results are identical either way.
-  std::size_t workers = 0;
-
-  [[nodiscard]] static std::size_t resolve_workers(std::size_t requested);
-};
-
 class Simulation {
  public:
-  Simulation(Deployment deployment, StockQuoteGenerator quotes, NetworkConfig net = {},
-             SimOptions opts = {});
+  Simulation(Deployment deployment, StockQuoteGenerator quotes, NetworkConfig net = {});
 
   // Advance simulated time by `duration_s`, generating and routing
   // publications. May be called repeatedly; metrics accumulate until
@@ -104,31 +87,29 @@ class Simulation {
 
   // Update one publisher's emission rate in place (every spec carrying the
   // client id, in the deployment and the live schedule). Takes effect at
-  // the publisher's next scheduled publication — a pure data change, so
-  // results stay bit-identical for any worker count. The rate must be
-  // positive: a publisher's event chain cannot be paused mid-epoch. Rates
-  // live on the deployment, so they survive redeploys (apply_plan copies
-  // the old publisher specs). Traffic shapers (diurnal schedules, flash
-  // crowds) drive this between run() slices.
+  // the publisher's next scheduled publication. The rate must be positive:
+  // a publisher's event chain cannot be paused mid-epoch. Rates live on the
+  // deployment, so they survive redeploys (apply_plan copies the old
+  // publisher specs). Traffic shapers (diurnal schedules, flash crowds)
+  // drive this between run() slices.
   void set_publisher_rate(ClientId client, MsgRate rate_msg_s);
 
   // --- time-series sampling ---
-  // Programmatic equivalent of GREENPS_OBS_SAMPLE_MS: enable (or retune)
-  // per-broker sampling without touching the environment and without the
-  // CSV side channel (the CSV is still written when the env var set the
-  // interval). <= 0 disables. Takes effect at the next run() if sampling is
-  // not yet scheduled this epoch, else at the next redeploy.
+  // Programmatic equivalent of GREENPS_OBS_SAMPLE_MS: enable, retune or
+  // disable per-broker sampling without touching the environment and
+  // without the CSV side channel (the CSV is still written when the env var
+  // set the interval). <= 0 disables. While sampling runs, a change takes
+  // effect at the next sample; otherwise sampling starts one interval into
+  // the next run().
   void set_sample_interval_ms(double ms);
-  // Accumulated sample rows, in canonical (time, broker) order; rows are
-  // appended by run() and survive redeploys, so consumers (the elastic
-  // controller) read incrementally from their last row index.
+  // This epoch's sample rows in (time, broker) order. run() appends them;
+  // redeploy() clears them (the event clock restarts at zero), so consumers
+  // (the elastic controller) read incrementally from their last row index
+  // and rewind to zero after a redeploy.
   [[nodiscard]] const obs::TimeSeriesSampler& samples() const { return sampler_; }
 
   [[nodiscard]] Broker& broker(BrokerId id);
   [[nodiscard]] const Broker& broker(BrokerId id) const;
-
-  // Event-queue shards actually in use this epoch (1 = single-threaded).
-  [[nodiscard]] std::size_t shard_count() const { return loop_.shard_count(); }
 
   // BIA payload for one broker (what its CBC currently knows).
   [[nodiscard]] BrokerInfo broker_info(BrokerId id) const;
@@ -159,9 +140,14 @@ class Simulation {
   [[nodiscard]] std::size_t retransmit_cap(BrokerId b) const;
 
   // --- publication ledger (delivery-loss oracle) ---
-  // One row per publication emitted this epoch; enabled by install_faults()
-  // or explicitly. Recording is observation-only: the event stream is
-  // untouched. Rows are kept in canonical (at, adv, seq) order.
+  // One row per publication emitted this epoch, plus one per re-admission
+  // from a degraded-mode admission buffer (stamped with the re-admission
+  // time); enabled by install_faults() or explicitly. Recording is
+  // observation-only: the event stream is untouched. Rows are appended in
+  // execution order, so `at` never decreases, and a re-admitted
+  // publication's row always comes after (and strictly later than) its
+  // original row — a reader keeping the last row per (adv, seq) sees when
+  // the message actually entered the system.
   struct PublishRecord {
     AdvId adv;
     MessageSeq seq = 0;
@@ -178,7 +164,9 @@ class Simulation {
   // backlog drain (FaultOptions::admission_control).
   [[nodiscard]] std::set<std::pair<AdvId, MessageSeq>> pending_admissions() const;
   // Publications shed by admission control (deferred-buffer cap hit).
-  [[nodiscard]] std::set<std::pair<AdvId, MessageSeq>> shed_publications() const;
+  [[nodiscard]] const std::set<std::pair<AdvId, MessageSeq>>& shed_publications() const {
+    return shed_;
+  }
   // Messages that were waiting in retransmit/deferred buffers when a
   // redeploy cleared them (the buffering broker was decommissioned
   // mid-outage). Cumulative across the sim's life; the loss oracle excuses
@@ -187,7 +175,7 @@ class Simulation {
     return stranded_;
   }
   // Current position of the sim clock (end of the last run horizon).
-  [[nodiscard]] SimTime now_us() const { return loop_.now(); }
+  [[nodiscard]] SimTime now_us() const { return queue_.now(); }
 
   [[nodiscard]] SimSummary summarize() const;
   void reset_metrics();
@@ -196,23 +184,16 @@ class Simulation {
   [[nodiscard]] double measured_seconds() const { return measured_s_; }
 
   // Discrete events executed since the last redeploy (bench
-  // instrumentation; redeploy() restarts the event loop and its count).
-  // Shard-replicated bookkeeping events (fault replicas, per-shard sampler
-  // ticks beyond shard 0) are excluded, so the count is identical for any
-  // worker count.
-  [[nodiscard]] std::size_t events_executed() const;
+  // instrumentation; redeploy() restarts the event queue and its count).
+  [[nodiscard]] std::size_t events_executed() const { return queue_.executed(); }
 
  private:
-  struct Shard;
-
-  // One deployed broker plus everything the sharded loop needs to schedule
-  // and execute its events deterministically: the owning shard, a dense
+  // One deployed broker plus what scheduling its events needs: a dense
   // ordinal feeding event keys, the per-source key sequence, and a private
-  // RNG stream for probabilistic link drops (a shared stream's draw order
-  // would depend on the shard interleaving).
+  // RNG stream for probabilistic link drops (per broker, so one link's
+  // draws never depend on traffic elsewhere).
   struct BrokerSlot {
     std::unique_ptr<Broker> broker;
-    Shard* shard = nullptr;
     std::uint64_t ord = 0;
     std::uint64_t key_seq = 0;
     Rng drop_rng{0};
@@ -222,10 +203,9 @@ class Simulation {
     PublisherSpec spec;
     MessageSeq next_seq = 0;
     // Node in seq_ pre-inserted at redeploy (stable address), so publishing
-    // never touches the map structure from a worker thread.
+    // never looks the advertisement up.
     MessageSeq* seq_slot = nullptr;
-    BrokerSlot* home = nullptr;  // publisher events run on the home's shard
-    Shard* shard = nullptr;
+    BrokerSlot* home = nullptr;
     std::uint64_t ord = 0;
     std::uint64_t key_seq = 0;
   };
@@ -260,67 +240,27 @@ class Simulation {
     SimTime busy_us = 0;
   };
 
-  // Everything one worker owns. All hot-path state a broker's events touch
-  // lives on its owning shard, so the only cross-thread traffic during a
-  // run is the engine's outbox exchange (plus publication-pool frees).
-  // Master views (metrics_, faults_, publish_ledger_, sampler_) are rebuilt
-  // from the shards after every run().
-  struct Shard {
-    std::size_t index = 0;
-    MetricsCollector metrics;
-    // Fault-state replica: every shard applies every fault event (its own
-    // brokers' hot paths need the crash/link state), but only shard 0
-    // records stats and outage windows.
-    FaultState faults;
-    SubscriptionRoutingTable::MatchResult route_scratch;
-    MatchScratch match_scratch;
-    PublicationPool pub_pool;
-    std::vector<PublishRecord> ledger;
-    std::unordered_map<BrokerId, std::vector<BufferedArrival>> retransmit;
-    std::unordered_map<BrokerId, DeferredQueue> deferred;
-    std::set<std::pair<AdvId, MessageSeq>> shed;  // admission-shed this epoch
-    std::unordered_map<BrokerId, SampleBaseline> sample_baselines;
-    std::vector<BrokerId> owned_sorted;  // brokers owned, ascending id
-    obs::TimeSeriesSampler sampler{
-        "broker", {"in_rate_msg_s", "out_rate_msg_s", "queue_backlog_s", "bw_utilization"}};
-    std::uint64_t sampler_key_seq = 0;
-    // Replicated bookkeeping events executed here (excluded from
-    // events_executed()), and per-run match-walk harvest scratch.
-    std::size_t aux_events = 0;
-    std::size_t walk_base = 0;
-    std::size_t walk_delta = 0;
-  };
-
   void install_routing();
-  // Shard count for the current deployment: the resolved worker request,
-  // clamped and guarded (see SimOptions::workers).
-  [[nodiscard]] std::size_t pick_shard_count() const;
-  // Minimum cross-shard event distance: one link latency plus the smallest
-  // matching service time (any broker-to-broker forward pays both).
-  [[nodiscard]] SimTime shard_lookahead() const;
-  void ensure_pool();
-  // Fold per-shard metrics/faults/ledger/sampler rows into the master
-  // views, in canonical order (called after every run()).
-  void rebuild_master_state();
-  void rebuild_fault_view();
   // Capture per-broker message rates from the current metrics window
   // (feeds derived retransmit caps in the next epoch).
   void snapshot_profiled_rates();
   void derive_retransmit_caps(const FaultSchedule& schedule);
   // Periodic per-broker time-series sampling (GREENPS_OBS_SAMPLE_MS): one
-  // self-rescheduling event per shard snapshots message rates, output-queue
-  // backlog and bandwidth utilization. Inert (no events scheduled) when
+  // self-rescheduling event, `interval` after the previous sample,
+  // snapshots message rates, output-queue backlog and bandwidth
+  // utilization over that interval. Inert (no events scheduled) when
   // disabled, so the event stream — and thus every allocation decision —
   // is unchanged by default.
-  void schedule_sample(Shard& sh, SimTime at);
-  void take_sample(Shard& sh);
+  void schedule_sample(SimTime interval);
+  void take_sample(SimTime interval);
+  // A broker's current traffic counters and link busy time.
+  [[nodiscard]] SampleBaseline sample_counters(BrokerId id) const;
   void schedule_publisher(std::size_t pub_index, SimTime first);
   void publish(std::size_t pub_index);
-  // Fire one fault on one shard's replica: flip its FaultState, sync the
-  // Broker object if this shard owns it, and (shard 0 only) emit obs
-  // trace/metrics. On restart the owner shard replays buffered messages.
-  void apply_fault(const FaultEvent& ev, Shard& sh);
-  void buffer_for_retransmit(Shard& sh, BrokerId at, BufferedArrival&& entry);
+  // Fire one fault: flip the FaultState, sync the Broker object and emit
+  // obs trace/metrics. On restart the broker replays buffered messages.
+  void apply_fault(const FaultEvent& ev);
+  void buffer_for_retransmit(BrokerId at, BufferedArrival&& entry);
   void replay_retransmits(BrokerSlot& slot);
   // Degraded-mode admission control: park a fresh publication at its home
   // broker's door, and the self-rescheduling per-broker drain that
@@ -330,10 +270,10 @@ class Simulation {
   void schedule_admission_drain(BrokerSlot& slot);
   void drain_admissions(BrokerSlot& slot);
   // Sweep retransmit/deferred buffers into stranded_ (redeploy is about to
-  // clear the shards that hold them).
+  // clear them).
   void sweep_stranded();
   // `slot` is resolved at schedule time (broker storage is stable between
-  // redeploys and the queues are cleared on redeploy), saving an id lookup
+  // redeploys and the queue is cleared on redeploy), saving an id lookup
   // per hop and per delivery on the hot path.
   void arrive_at_broker(BrokerSlot& slot, std::shared_ptr<const Publication> pub,
                         BrokerId from, bool has_from, int broker_hops,
@@ -342,17 +282,17 @@ class Simulation {
   Deployment deployment_;
   StockQuoteGenerator quotes_;
   NetworkConfig net_;
-  std::size_t workers_ = 1;  // resolved request; per-epoch count may be lower
-  ShardedEventLoop loop_;
-  // unique_ptr keeps Shard addresses stable across vector moves — scheduled
-  // closures and BrokerSlots hold raw Shard pointers.
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<ThreadPool> pool_;  // created lazily on the first sharded run
-  MetricsCollector metrics_;  // master view (see rebuild_master_state)
+  EventQueue queue_;
+  MetricsCollector metrics_;
   std::unordered_map<BrokerId, BrokerSlot> brokers_;
+  std::vector<BrokerId> broker_ids_;  // ascending; the sampler's row order
   std::vector<PublisherState> publishers_;
   // Sequence numbers survive redeploys (bit vector counters stay in sync).
   std::unordered_map<AdvId, MessageSeq> seq_;
+  // Per-arrival scratch, reused across every publication.
+  SubscriptionRoutingTable::MatchResult route_scratch_;
+  MatchScratch match_scratch_;
+  PublicationPool pub_pool_;
   // Brokers hosting at least one client, precomputed at redeploy() so the
   // pure-forwarder check in summarize() is O(1) per broker instead of
   // rescanning every publisher/subscriber spec.
@@ -372,10 +312,13 @@ class Simulation {
   // the publish path is bit-identical to an admission-free build.
   bool admission_active_ = false;
   FaultOptions fault_options_;
-  FaultState faults_;  // master view
-  std::uint64_t fault_key_seq_ = 0;  // shared event key per replicated fault
+  FaultState faults_;
+  std::uint64_t fault_key_seq_ = 0;
   bool ledger_enabled_ = false;
-  std::vector<PublishRecord> publish_ledger_;  // master view
+  std::vector<PublishRecord> publish_ledger_;
+  std::unordered_map<BrokerId, std::vector<BufferedArrival>> retransmit_;
+  std::unordered_map<BrokerId, DeferredQueue> deferred_;
+  std::set<std::pair<AdvId, MessageSeq>> shed_;  // admission-shed this epoch
   // Per-broker message rate (msgs/s) captured from the previous metrics
   // window; sizes derived retransmit caps for the next fault epoch.
   std::unordered_map<BrokerId, double> profiled_rate_;
@@ -386,8 +329,10 @@ class Simulation {
 
   obs::TimeSeriesSampler sampler_{
       "broker", {"in_rate_msg_s", "out_rate_msg_s", "queue_backlog_s", "bw_utilization"}};
+  std::unordered_map<BrokerId, SampleBaseline> sample_baselines_;
   SimTime sample_interval_us_ = obs::TimeSeriesSampler::interval_us_from_env();
   bool sampler_scheduled_ = false;
+  std::uint64_t sampler_key_seq_ = 0;
   // CSV rendering is tied to the env-var path (offline plotting); callers
   // of set_sample_interval_ms get the in-memory rows only.
   bool sampler_csv_ = sample_interval_us_ > 0;

@@ -46,13 +46,6 @@ class StockQuoteGenerator {
   // thresholds that actually select a fraction of the stream).
   [[nodiscard]] double reference_price(const std::string& symbol);
 
-  // Ensure the symbol's walk state exists. Symbol states are created
-  // lazily, which would be a concurrent map insertion once shards publish
-  // in parallel; the simulator pre-warms every publisher symbol at
-  // redeploy so the map is read-only during a run. Creation is a pure
-  // function of (seed, symbol), so pre-warming never changes a stream.
-  void prewarm(const std::string& symbol) { (void)state_for(symbol); }
-
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:

@@ -2,9 +2,9 @@
 //
 //   - Determinism: for a fixed scenario seed the whole sense -> decide ->
 //     plan -> apply trajectory (every decision, every broker count, every
-//     aggregate) is bit-identical across repeated runs and across simulator
-//     worker counts — the sampler emits rows in canonical order and the
-//     controller is pure arithmetic over them.
+//     aggregate) is bit-identical across repeated runs — the sampler emits
+//     rows in (time, broker) order and the controller is pure arithmetic
+//     over them.
 //   - Transparency: with the loop disabled it senses and accounts but must
 //     not perturb a single event — totals and the merged delay histogram
 //     equal an uncontrolled run of the same duration exactly.
@@ -79,9 +79,9 @@ struct LoopTrace {
 
 // One scripted mini-day: quiet opening (consolidate), a crowd (commission),
 // quiet close (claw back). Every phase exercises a different decision path.
-LoopTrace run_trace(std::uint64_t seed, std::size_t workers) {
+LoopTrace run_trace(std::uint64_t seed) {
   const ScenarioConfig scen = autoscale_scenario(seed);
-  Simulation sim = make_simulation(scen, SimOptions{.workers = workers});
+  Simulation sim = make_simulation(scen);
   const RateModulator mod(sim);
   mod.apply(sim, 0.3);
   sim.run(10.0);  // warm the CBC profiles at the opening rate
@@ -102,27 +102,24 @@ LoopTrace run_trace(std::uint64_t seed, std::size_t workers) {
   return t;
 }
 
-TEST(ElasticController, TrajectoryBitIdenticalAcrossRunsAndWorkerCounts) {
+TEST(ElasticController, TrajectoryBitIdenticalAcrossRuns) {
   for (const std::uint64_t seed : {7ull, 42ull}) {
     SCOPED_TRACE(::testing::Message() << "seed=" << seed);
-    const LoopTrace base = run_trace(seed, 1);
+    const LoopTrace base = run_trace(seed);
     // The script must actually drive the controller through decisions.
     EXPECT_GT(base.totals.publications, 0u);
     EXPECT_GT(base.totals.reconfigurations, 0u);
 
-    const LoopTrace again = run_trace(seed, 1);
+    const LoopTrace again = run_trace(seed);
     EXPECT_EQ(again.ticks, base.ticks);
-
-    const LoopTrace sharded = run_trace(seed, 2);
-    EXPECT_EQ(sharded.ticks, base.ticks);
-    EXPECT_EQ(sharded.totals.publications, base.totals.publications);
-    EXPECT_EQ(sharded.totals.deliveries, base.totals.deliveries);
-    EXPECT_EQ(sharded.totals.broker_seconds, base.totals.broker_seconds);
-    EXPECT_EQ(sharded.totals.reconfigurations, base.totals.reconfigurations);
-    EXPECT_EQ(sharded.totals.commissions, base.totals.commissions);
-    EXPECT_EQ(sharded.totals.consolidations, base.totals.consolidations);
-    EXPECT_EQ(sharded.totals.clients_migrated, base.totals.clients_migrated);
-    EXPECT_EQ(sharded.p99_ms, base.p99_ms);
+    EXPECT_EQ(again.totals.publications, base.totals.publications);
+    EXPECT_EQ(again.totals.deliveries, base.totals.deliveries);
+    EXPECT_EQ(again.totals.broker_seconds, base.totals.broker_seconds);
+    EXPECT_EQ(again.totals.reconfigurations, base.totals.reconfigurations);
+    EXPECT_EQ(again.totals.commissions, base.totals.commissions);
+    EXPECT_EQ(again.totals.consolidations, base.totals.consolidations);
+    EXPECT_EQ(again.totals.clients_migrated, base.totals.clients_migrated);
+    EXPECT_EQ(again.p99_ms, base.p99_ms);
   }
 }
 

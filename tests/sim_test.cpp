@@ -2,13 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "language/parser.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/loss_oracle.hpp"
-#include "sim/shard_partitioner.hpp"
 
 namespace greenps {
 namespace {
@@ -50,10 +49,9 @@ struct TestNet {
     return s.sub;
   }
 
-  Simulation make(SimOptions opts = {}) {
+  Simulation make() {
     return Simulation(std::move(dep),
-                      StockQuoteGenerator(StockQuoteGenerator::Config{}, Rng(99)),
-                      NetworkConfig{}, opts);
+                      StockQuoteGenerator(StockQuoteGenerator::Config{}, Rng(99)));
   }
 };
 
@@ -250,293 +248,6 @@ TEST(EventQueue, KeyedTiesOrderByKey) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 9}));
 }
 
-TEST(ShardPartitioner, PathGraphCutsAreMinimal) {
-  Topology t;
-  for (std::uint64_t i = 0; i < 16; ++i) {
-    t.add_broker(BrokerId{i});
-    if (i > 0) t.add_link(BrokerId{i - 1}, BrokerId{i});
-  }
-  const ShardPlan plan = partition_brokers(t, {}, 4);
-  ASSERT_EQ(plan.shards.size(), 4u);
-  // A path cut into 4 contiguous blocks has exactly 3 cross links (optimal),
-  // and uniform weights split 16 brokers evenly.
-  EXPECT_EQ(plan.cross_links, 3u);
-  std::size_t total = 0;
-  for (const auto& shard : plan.shards) {
-    EXPECT_EQ(shard.size(), 4u);
-    total += shard.size();
-  }
-  EXPECT_EQ(total, 16u);
-  for (std::uint64_t i = 0; i < 16; ++i) {
-    EXPECT_LT(plan.shard_of(BrokerId{i}), 4u);
-  }
-}
-
-TEST(ShardPartitioner, BalancesByClientWeight) {
-  Topology t;
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    t.add_broker(BrokerId{i});
-    if (i > 0) t.add_link(BrokerId{i - 1}, BrokerId{i});
-  }
-  // Broker 0 hosts 6 clients (weight 7); the other seven weigh 1 each.
-  // Total weight 14, two shards, target 7: the heavy broker fills shard 0
-  // alone instead of dragging half the chain with it.
-  const ShardPlan plan = partition_brokers(t, {{BrokerId{0}, 6}}, 2);
-  ASSERT_EQ(plan.shards.size(), 2u);
-  EXPECT_EQ(plan.shards[0], (std::vector<BrokerId>{BrokerId{0}}));
-  EXPECT_EQ(plan.shards[1].size(), 7u);
-  EXPECT_EQ(plan.cross_links, 1u);
-}
-
-TEST(ShardPartitioner, ClampsAndStaysDeterministic) {
-  Topology t;
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    t.add_broker(BrokerId{i});
-    if (i > 0) t.add_link(BrokerId{i - 1}, BrokerId{i});
-  }
-  const ShardPlan a = partition_brokers(t, {}, 8);  // clamped to broker count
-  ASSERT_EQ(a.shards.size(), 3u);
-  for (const auto& shard : a.shards) EXPECT_EQ(shard.size(), 1u);
-  const ShardPlan b = partition_brokers(t, {}, 8);
-  EXPECT_EQ(a.shards, b.shards);
-  EXPECT_EQ(a.cross_links, b.cross_links);
-}
-
-TEST(SimOptionsTest, ResolveWorkersReadsEnvironment) {
-  ASSERT_EQ(setenv("GREENPS_SIM_WORKERS", "6", 1), 0);
-  EXPECT_EQ(SimOptions::resolve_workers(0), 6u);
-  EXPECT_EQ(SimOptions::resolve_workers(3), 3u);  // explicit request wins
-  ASSERT_EQ(unsetenv("GREENPS_SIM_WORKERS"), 0);
-  EXPECT_EQ(SimOptions::resolve_workers(0), 1u);  // default: single-threaded
-}
-
-// --- sharded-simulator determinism matrix -------------------------------
-//
-// The contract under test: SimSummary (and every counter feeding it) is
-// bit-identical — exact double equality, no tolerance — for any worker
-// count, with and without an armed fault schedule.
-
-struct RunArtifacts {
-  SimSummary summary;
-  FaultStats faults;
-  std::unordered_map<BrokerId, BrokerTraffic> traffic;
-  std::size_t events = 0;
-  std::size_t shards = 0;
-  std::size_t ledger_rows = 0;
-};
-
-void expect_identical(const RunArtifacts& base, const RunArtifacts& got) {
-  const SimSummary& a = base.summary;
-  const SimSummary& b = got.summary;
-  EXPECT_EQ(b.duration_s, a.duration_s);
-  EXPECT_EQ(b.brokers_with_traffic, a.brokers_with_traffic);
-  EXPECT_EQ(b.allocated_brokers, a.allocated_brokers);
-  EXPECT_EQ(b.publications, a.publications);
-  EXPECT_EQ(b.deliveries, a.deliveries);
-  EXPECT_EQ(b.broker_msgs_total, a.broker_msgs_total);
-  EXPECT_EQ(b.avg_broker_msg_rate, a.avg_broker_msg_rate);
-  EXPECT_EQ(b.system_msg_rate, a.system_msg_rate);
-  EXPECT_EQ(b.avg_hop_count, a.avg_hop_count);
-  EXPECT_EQ(b.avg_delivery_delay_ms, a.avg_delivery_delay_ms);
-  EXPECT_EQ(b.p50_delivery_delay_ms, a.p50_delivery_delay_ms);
-  EXPECT_EQ(b.p99_delivery_delay_ms, a.p99_delivery_delay_ms);
-  EXPECT_EQ(b.avg_output_utilization, a.avg_output_utilization);
-  EXPECT_EQ(b.pure_forwarding_brokers, a.pure_forwarding_brokers);
-  EXPECT_EQ(b.retransmit_overflow, a.retransmit_overflow);
-
-  const FaultStats& fa = base.faults;
-  const FaultStats& fb = got.faults;
-  EXPECT_EQ(fb.crashes, fa.crashes);
-  EXPECT_EQ(fb.restarts, fa.restarts);
-  EXPECT_EQ(fb.link_downs, fa.link_downs);
-  EXPECT_EQ(fb.link_ups, fa.link_ups);
-  EXPECT_EQ(fb.pubs_dropped_at_source, fa.pubs_dropped_at_source);
-  EXPECT_EQ(fb.arrivals_dropped, fa.arrivals_dropped);
-  EXPECT_EQ(fb.deliveries_dropped, fa.deliveries_dropped);
-  EXPECT_EQ(fb.msgs_dropped_link_down, fa.msgs_dropped_link_down);
-  EXPECT_EQ(fb.msgs_dropped_random, fa.msgs_dropped_random);
-  EXPECT_EQ(fb.retransmits_replayed, fa.retransmits_replayed);
-  EXPECT_EQ(fb.retransmit_overflow, fa.retransmit_overflow);
-
-  EXPECT_EQ(got.events, base.events);
-  EXPECT_EQ(got.ledger_rows, base.ledger_rows);
-  ASSERT_EQ(got.traffic.size(), base.traffic.size());
-  for (const auto& [id, ta] : base.traffic) {
-    const auto it = got.traffic.find(id);
-    ASSERT_NE(it, got.traffic.end()) << "broker " << id.value();
-    EXPECT_EQ(it->second.msgs_in, ta.msgs_in) << "broker " << id.value();
-    EXPECT_EQ(it->second.msgs_out, ta.msgs_out) << "broker " << id.value();
-    EXPECT_EQ(it->second.local_deliveries, ta.local_deliveries) << "broker " << id.value();
-    EXPECT_EQ(it->second.hop_total, ta.hop_total) << "broker " << id.value();
-    EXPECT_EQ(it->second.delay_total_s, ta.delay_total_s) << "broker " << id.value();
-  }
-}
-
-RunArtifacts capture(const Simulation& sim) {
-  RunArtifacts a;
-  a.summary = sim.summarize();
-  a.faults = sim.fault_state().stats();
-  a.traffic = sim.metrics().traffic();
-  a.events = sim.events_executed();
-  a.shards = sim.shard_count();
-  a.ledger_rows = sim.publish_ledger().size();
-  return a;
-}
-
-// Fanout-3 tree of `n` brokers with a seed-scrambled mix of publishers
-// (distinct symbols, mixed rates) and subscribers (exact and range filters).
-TestNet matrix_net(std::size_t n, std::uint64_t seed) {
-  TestNet net(1);
-  for (std::uint64_t i = 1; i < n; ++i) {
-    net.dep.topology.add_link(BrokerId{(i - 1) / 3}, BrokerId{i});
-    net.dep.capacities.emplace(BrokerId{i},
-                               BrokerCapacity{1.0e5, MatchingDelayFunction{10e-6, 0.5e-6}});
-  }
-  Rng rng(seed);
-  const char* symbols[] = {"AAA", "BBB", "CCC", "DDD"};
-  const double rates[] = {40.0, 25.0, 15.0, 10.0};
-  for (std::size_t i = 0; i < 4; ++i) {
-    net.add_publisher(symbols[i], rng.index(n), rates[i]);
-  }
-  // Two guaranteed-match subscribers, then a scrambled tail.
-  net.add_subscriber("[symbol,=,'AAA']", rng.index(n));
-  net.add_subscriber("[symbol,=,'BBB']", rng.index(n));
-  for (std::size_t k = 0; k < 10; ++k) {
-    const std::string symbol = symbols[rng.index(4)];
-    std::string filter = "[symbol,=,'" + symbol + "']";
-    switch (rng.index(3)) {
-      case 1: filter += ",[volume,>,1000000]"; break;
-      case 2: filter += ",[volume,<,800000]"; break;
-      default: break;
-    }
-    net.add_subscriber(filter, rng.index(n));
-  }
-  return net;
-}
-
-RunArtifacts run_matrix_case(std::uint64_t seed, std::size_t workers, bool faulted) {
-  TestNet net = matrix_net(13, seed);
-  Simulation sim = net.make(SimOptions{.workers = workers});
-  if (faulted) {
-    FaultSchedule fs;
-    fs.link_drop(seconds(1.0), BrokerId{0}, BrokerId{1}, 0.2);
-    fs.outage(seconds(2.0), seconds(1.5), BrokerId{4});
-    fs.latency_spike(seconds(3.0), seconds(0.002));
-    fs.latency_spike(seconds(4.5), 0);
-    fs.link_drop(seconds(5.0), BrokerId{0}, BrokerId{1}, 0.0);
-    FaultOptions fo;
-    fo.retransmit_on_reconnect = true;
-    sim.install_faults(std::move(fs), fo);
-  }
-  // Two run segments: the second re-enters the window loop with non-empty
-  // queues and a mid-stream clock, like every profile/measure bench does.
-  sim.run(3.0);
-  sim.run(3.0);
-  return capture(sim);
-}
-
-TEST(ShardedSim, SummaryBitIdenticalAcrossWorkerCounts) {
-  for (const std::uint64_t seed : {7ull, 21ull}) {
-    for (const bool faulted : {false, true}) {
-      SCOPED_TRACE(::testing::Message() << "seed=" << seed << " faulted=" << faulted);
-      const RunArtifacts base = run_matrix_case(seed, 1, faulted);
-      ASSERT_EQ(base.shards, 1u);
-      ASSERT_GT(base.summary.deliveries, 0u);
-      if (faulted) {
-        ASSERT_GT(base.faults.crashes, 0u);
-      }
-      for (const std::size_t w : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-        SCOPED_TRACE(::testing::Message() << "workers=" << w);
-        const RunArtifacts got = run_matrix_case(seed, w, faulted);
-        EXPECT_EQ(got.shards, w);
-        expect_identical(base, got);
-      }
-    }
-  }
-}
-
-TEST(ShardedSim, PathGraphCrossShardHeavyMatchesSingleThread) {
-  // Chain with traffic pinned to the far ends: nearly every hop of every
-  // publication crosses a shard boundary when the chain is cut into 4.
-  const auto build = [] {
-    TestNet net(12);
-    net.add_publisher("AAA", 0, 40.0);
-    net.add_publisher("BBB", 11, 25.0);
-    net.add_subscriber("[symbol,=,'AAA']", 11);
-    net.add_subscriber("[symbol,=,'BBB']", 0);
-    net.add_subscriber("[symbol,=,'AAA'],[volume,>,1000000]", 6);
-    return net;
-  };
-  TestNet n1 = build();
-  TestNet n4 = build();
-  Simulation s1 = n1.make(SimOptions{.workers = 1});
-  Simulation s4 = n4.make(SimOptions{.workers = 4});
-  EXPECT_EQ(s4.shard_count(), 4u);
-  s1.run(8.0);
-  s4.run(8.0);
-  const RunArtifacts base = capture(s1);
-  ASSERT_GT(base.summary.deliveries, 0u);
-  EXPECT_GT(base.summary.avg_hop_count, 5.0);  // end-to-end traffic dominates
-  expect_identical(base, capture(s4));
-}
-
-TEST(ShardedSim, CrashStraddlingWindowsReplaysIdentically) {
-  // One outage in the middle of the chain. At 50 msg/s the 1.5 s outage
-  // spans thousands of conservative lookahead windows, so crash, buffering
-  // and restart-replay all land mid-window-loop on the sharded path.
-  const auto run_one = [](std::size_t workers, RunArtifacts* out, std::uint64_t* replayed,
-                          LossAudit* audit) {
-    TestNet net(8);
-    net.add_publisher("AAA", 0, 50.0);
-    net.add_subscriber("[symbol,=,'AAA']", 7);
-    net.add_subscriber("[symbol,=,'AAA']", 4);
-    Simulation sim = net.make(SimOptions{.workers = workers});
-    FaultSchedule fs;
-    fs.outage(seconds(2.0), seconds(1.5), BrokerId{3});
-    FaultOptions fo;
-    fo.retransmit_on_reconnect = true;
-    sim.install_faults(std::move(fs), fo);
-    sim.run(8.0);
-    *out = capture(sim);
-    *replayed = sim.fault_state().stats().retransmits_replayed;
-    *audit = audit_losses(sim, StockQuoteGenerator(StockQuoteGenerator::Config{}, Rng(99)));
-  };
-  RunArtifacts base, got;
-  std::uint64_t replayed1 = 0;
-  std::uint64_t replayed4 = 0;
-  LossAudit audit1, audit4;
-  run_one(1, &base, &replayed1, &audit1);
-  run_one(4, &got, &replayed4, &audit4);
-  EXPECT_EQ(got.shards, 4u);
-  EXPECT_GT(replayed1, 0u);  // the outage actually buffered and replayed
-  expect_identical(base, got);
-  // Store-and-forward across the outage: the oracle finds no real loss on
-  // either path.
-  EXPECT_TRUE(audit1.clean()) << audit1.real_losses.size() << " real losses (1 worker)";
-  EXPECT_TRUE(audit4.clean()) << audit4.real_losses.size() << " real losses (4 workers)";
-  EXPECT_EQ(audit4.expected, audit1.expected);
-  EXPECT_EQ(audit4.excused, audit1.excused);
-}
-
-TEST(ShardedSim, SharedSymbolForcesSingleShard) {
-  TestNet net(6);
-  net.add_publisher("AAA", 0);
-  net.add_publisher("AAA", 5);  // one shared price walk: unshardable
-  net.add_subscriber("[symbol,=,'AAA']", 3);
-  Simulation sim = net.make(SimOptions{.workers = 4});
-  EXPECT_EQ(sim.shard_count(), 1u);
-}
-
-TEST(ShardedSim, WorkerCountClampsToBrokerCount) {
-  TestNet net(2);
-  net.add_publisher("AAA", 0);
-  net.add_subscriber("[symbol,=,'AAA']", 1);
-  Simulation sim = net.make(SimOptions{.workers = 8});
-  EXPECT_EQ(sim.shard_count(), 2u);
-  sim.run(2.0);
-  EXPECT_GT(sim.metrics().deliveries(), 0u);
-}
-
 // --- derived retransmit caps --------------------------------------------
 
 TEST(Simulation, RetransmitCapDerivedFromProfiledRate) {
@@ -621,6 +332,513 @@ TEST(Simulation, BandwidthThrottlingIncreasesDelay) {
   slow_sim.run(10.0);
 
   EXPECT_GT(slow_sim.metrics().avg_delay_ms(), fast_sim.metrics().avg_delay_ms());
+}
+
+// --- pinned simulator output --------------------------------------------
+//
+// Exact results of fixed runs, recorded as constants (doubles as hex-float
+// literals, so equality is bit-for-bit). Any change to event order, fault
+// handling, metrics reduction or the sampler shows up here as a diff.
+
+// Fanout-3 tree of `n` brokers with a seed-scrambled mix of publishers
+// (distinct symbols, mixed rates) and subscribers (exact and range filters).
+TestNet matrix_net(std::size_t n, std::uint64_t seed) {
+  TestNet net(1);
+  for (std::uint64_t i = 1; i < n; ++i) {
+    net.dep.topology.add_link(BrokerId{(i - 1) / 3}, BrokerId{i});
+    net.dep.capacities.emplace(BrokerId{i},
+                               BrokerCapacity{1.0e5, MatchingDelayFunction{10e-6, 0.5e-6}});
+  }
+  Rng rng(seed);
+  const char* symbols[] = {"AAA", "BBB", "CCC", "DDD"};
+  const double rates[] = {40.0, 25.0, 15.0, 10.0};
+  for (std::size_t i = 0; i < 4; ++i) {
+    net.add_publisher(symbols[i], rng.index(n), rates[i]);
+  }
+  // Two guaranteed-match subscribers, then a scrambled tail.
+  net.add_subscriber("[symbol,=,'AAA']", rng.index(n));
+  net.add_subscriber("[symbol,=,'BBB']", rng.index(n));
+  for (std::size_t k = 0; k < 10; ++k) {
+    const std::string symbol = symbols[rng.index(4)];
+    std::string filter = "[symbol,=,'" + symbol + "']";
+    switch (rng.index(3)) {
+      case 1: filter += ",[volume,>,1000000]"; break;
+      case 2: filter += ",[volume,<,800000]"; break;
+      default: break;
+    }
+    net.add_subscriber(filter, rng.index(n));
+  }
+  return net;
+}
+
+struct PinnedTraffic {
+  std::uint64_t broker = 0;
+  std::uint64_t msgs_in = 0;
+  std::uint64_t msgs_out = 0;
+  std::uint64_t local_deliveries = 0;
+  std::uint64_t hop_total = 0;
+  double delay_total_s = 0;
+};
+
+struct PinnedRun {
+  SimSummary summary;
+  FaultStats faults;
+  std::vector<PinnedTraffic> traffic;  // ascending broker id
+  std::size_t events = 0;
+  std::size_t ledger_rows = 0;
+  std::size_t sample_rows = 0;
+  double sample_value_sum = 0;  // every sampler value, summed in row order
+  std::uint64_t audit_expected = 0;
+  std::uint64_t audit_excused = 0;
+  std::size_t audit_real_losses = 0;
+};
+
+// The 13-broker matrix network, two 3 s run() segments (the second resumes
+// with non-empty queues mid-stream), the ledger on so the loss oracle
+// audits every case.
+PinnedRun pinned_run(std::uint64_t seed, bool faulted, double sample_ms) {
+  TestNet net = matrix_net(13, seed);
+  Simulation sim = net.make();
+  sim.set_publication_ledger(true);
+  if (sample_ms > 0) sim.set_sample_interval_ms(sample_ms);
+  if (faulted) {
+    FaultSchedule fs;
+    fs.link_drop(seconds(1.0), BrokerId{0}, BrokerId{1}, 0.2);
+    fs.outage(seconds(2.0), seconds(1.5), BrokerId{4});
+    fs.latency_spike(seconds(3.0), seconds(0.002));
+    fs.latency_spike(seconds(4.5), 0);
+    fs.link_drop(seconds(5.0), BrokerId{0}, BrokerId{1}, 0.0);
+    FaultOptions fo;
+    fo.retransmit_on_reconnect = true;
+    sim.install_faults(std::move(fs), fo);
+  }
+  sim.run(3.0);
+  sim.run(3.0);
+
+  PinnedRun r;
+  r.summary = sim.summarize();
+  r.faults = sim.fault_state().stats();
+  for (const auto& [id, t] : sim.metrics().traffic()) {
+    r.traffic.push_back(
+        {id.value(), t.msgs_in, t.msgs_out, t.local_deliveries, t.hop_total, t.delay_total_s});
+  }
+  std::sort(r.traffic.begin(), r.traffic.end(),
+            [](const PinnedTraffic& a, const PinnedTraffic& b) { return a.broker < b.broker; });
+  r.events = sim.events_executed();
+  r.ledger_rows = sim.publish_ledger().size();
+  r.sample_rows = sim.samples().row_count();
+  for (const auto& row : sim.samples().rows()) {
+    for (const double v : row.values) r.sample_value_sum += v;
+  }
+  const LossAudit audit =
+      audit_losses(sim, StockQuoteGenerator(StockQuoteGenerator::Config{}, Rng(99)));
+  r.audit_expected = audit.expected;
+  r.audit_excused = audit.excused;
+  r.audit_real_losses = audit.real_losses.size();
+  return r;
+}
+
+struct PinnedCase {
+  std::uint64_t seed = 0;
+  bool faulted = false;
+  double sample_ms = 0;
+  PinnedRun expect;
+};
+
+// Seeds 7 and 21, fault-free and faulted, plus one faulted run sampled every
+// 250 ms. Re-record only for an intended change in event order or
+// accounting.
+const std::vector<PinnedCase>& pinned_cases() {
+  static const std::vector<PinnedCase> cases = {
+    {7, false, 0,
+     PinnedRun{
+         .summary = {.duration_s = 0x1.8p+2,
+                     .brokers_with_traffic = 11,
+                     .allocated_brokers = 13,
+                     .publications = 541,
+                     .deliveries = 1315,
+                     .broker_msgs_total = 5997,
+                     .avg_broker_msg_rate = 0x1.3389d89d89d8ap+6,
+                     .system_msg_rate = 0x1.f3cp+9,
+                     .avg_hop_count = 0x1.d750031d656d3p+1,
+                     .avg_delivery_delay_ms = 0x1.ccbdf2d09f346p+0,
+                     .p50_delivery_delay_ms = 0x1.02fbed2c01932p+1,
+                     .p99_delivery_delay_ms = 0x1.29d4ea5901cfap+1,
+                     .avg_output_utilization = 0x1.42c55062663a3p-13,
+                     .pure_forwarding_brokers = 0,
+                     .retransmit_overflow = 0,
+                     .pubs_deferred = 0,
+                     .pubs_shed = 0,
+                     .msgs_stranded = 0},
+         .faults = {.crashes = 0,
+                    .restarts = 0,
+                    .link_downs = 0,
+                    .link_ups = 0,
+                    .pubs_dropped_at_source = 0,
+                    .arrivals_dropped = 0,
+                    .deliveries_dropped = 0,
+                    .msgs_dropped_link_down = 0,
+                    .msgs_dropped_random = 0,
+                    .retransmits_replayed = 0,
+                    .retransmit_overflow = 0,
+                    .pubs_deferred_admission = 0,
+                    .pubs_readmitted = 0,
+                    .pubs_shed_admission = 0},
+         .traffic = {
+             {0, 540, 785, 300, 900, 0x1.bdfe32a0663c8p-2},
+             {1, 330, 570, 240, 960, 0x1.e2ac322291fd4p-2},
+             {2, 395, 395, 0, 0, 0x0p+0},
+             {3, 300, 525, 114, 318, 0x1.397c3d68405b3p-3},
+             {4, 240, 240, 240, 1200, 0x1.30014f8b588c8p-1},
+             {7, 30, 30, 30, 120, 0x1.e1b089a02752cp-5},
+             {8, 125, 125, 125, 625, 0x1.3d1f601797cc7p-2},
+             {9, 240, 240, 0, 0, 0x0p+0},
+             {10, 150, 150, 150, 450, 0x1.bcd35a858794fp-3},
+             {11, 111, 111, 51, 204, 0x1.9a1016ce789fp-4},
+             {12, 150, 215, 65, 65, 0x1.bd273d5bab226p-6},
+         },
+         .events = 4467,
+         .ledger_rows = 541,
+         .sample_rows = 0,
+         .sample_value_sum = 0x0p+0,
+         .audit_expected = 1317,
+         .audit_excused = 2,
+         .audit_real_losses = 0}},
+    {7, true, 0,
+     PinnedRun{
+         .summary = {.duration_s = 0x1.8p+2,
+                     .brokers_with_traffic = 11,
+                     .allocated_brokers = 13,
+                     .publications = 541,
+                     .deliveries = 1212,
+                     .broker_msgs_total = 5652,
+                     .avg_broker_msg_rate = 0x1.21d89d89d89d9p+6,
+                     .system_msg_rate = 0x1.d7p+9,
+                     .avg_hop_count = 0x1.d1be1958b67ecp+1,
+                     .avg_delivery_delay_ms = 0x1.e3c9a30235d15p+4,
+                     .p50_delivery_delay_ms = 0x1.02fbed2c01932p+1,
+                     .p99_delivery_delay_ms = 0x1.1086557457954p+10,
+                     .avg_output_utilization = 0x1.2644c00feb569p-13,
+                     .pure_forwarding_brokers = 0,
+                     .retransmit_overflow = 0,
+                     .pubs_deferred = 0,
+                     .pubs_shed = 0,
+                     .msgs_stranded = 0},
+         .faults = {.crashes = 1,
+                    .restarts = 1,
+                    .link_downs = 0,
+                    .link_ups = 0,
+                    .pubs_dropped_at_source = 0,
+                    .arrivals_dropped = 42,
+                    .deliveries_dropped = 0,
+                    .msgs_dropped_link_down = 0,
+                    .msgs_dropped_random = 52,
+                    .retransmits_replayed = 42,
+                    .retransmit_overflow = 0,
+                    .pubs_deferred_admission = 0,
+                    .pubs_readmitted = 0,
+                    .pubs_shed_admission = 0},
+         .traffic = {
+             {0, 524, 731, 300, 900, 0x1.7aa4fca42aee1p-1},
+             {1, 294, 482, 204, 816, 0x1.544dca8e2e2a9p-1},
+             {2, 393, 393, 0, 0, 0x0p+0},
+             {3, 284, 496, 98, 270, 0x1.a9a8049667b65p-3},
+             {4, 204, 204, 204, 1020, 0x1.0eaab042528b3p+5},
+             {7, 28, 28, 28, 112, 0x1.8cd20afa2f05cp-4},
+             {8, 125, 125, 125, 625, 0x1.25bab218159ffp-1},
+             {9, 240, 240, 0, 0, 0x0p+0},
+             {10, 150, 150, 150, 450, 0x1.7a0f9096bb996p-2},
+             {11, 98, 98, 38, 152, 0x1.13a604e1e7103p-3},
+             {12, 150, 215, 65, 65, 0x1.bd273d5bab226p-6},
+         },
+         .events = 4291,
+         .ledger_rows = 541,
+         .sample_rows = 0,
+         .sample_value_sum = 0x0p+0,
+         .audit_expected = 1317,
+         .audit_excused = 22,
+         .audit_real_losses = 83}},
+    {21, false, 0,
+     PinnedRun{
+         .summary = {.duration_s = 0x1.8p+2,
+                     .brokers_with_traffic = 11,
+                     .allocated_brokers = 13,
+                     .publications = 541,
+                     .deliveries = 1230,
+                     .broker_msgs_total = 5802,
+                     .avg_broker_msg_rate = 0x1.2989d89d89d8ap+6,
+                     .system_msg_rate = 0x1.e38p+9,
+                     .avg_hop_count = 0x1.bd30b3d30b3d3p+1,
+                     .avg_delivery_delay_ms = 0x1.b27abd79975c8p+0,
+                     .p50_delivery_delay_ms = 0x1.02fbed2c01932p+1,
+                     .p99_delivery_delay_ms = 0x1.29d4ea5901cfap+1,
+                     .avg_output_utilization = 0x1.356cdcdcbe3d4p-13,
+                     .pure_forwarding_brokers = 0,
+                     .retransmit_overflow = 0,
+                     .pubs_deferred = 0,
+                     .pubs_shed = 0,
+                     .msgs_stranded = 0},
+         .faults = {.crashes = 0,
+                    .restarts = 0,
+                    .link_downs = 0,
+                    .link_ups = 0,
+                    .pubs_dropped_at_source = 0,
+                    .arrivals_dropped = 0,
+                    .deliveries_dropped = 0,
+                    .msgs_dropped_link_down = 0,
+                    .msgs_dropped_random = 0,
+                    .retransmits_replayed = 0,
+                    .retransmit_overflow = 0,
+                    .pubs_deferred_admission = 0,
+                    .pubs_readmitted = 0,
+                    .pubs_shed_admission = 0},
+         .traffic = {
+             {0, 474, 744, 270, 570, 0x1.13397dd00f768p-2},
+             {1, 474, 720, 0, 0, 0x0p+0},
+             {2, 180, 180, 30, 120, 0x1.e2eb1c432ca5cp-5},
+             {3, 294, 534, 96, 96, 0x1.4a4d2b2bfdb45p-5},
+             {4, 150, 150, 150, 750, 0x1.7c504816f005dp-2},
+             {5, 396, 330, 246, 1134, 0x1.1f5946c332fp-1},
+             {6, 240, 240, 240, 960, 0x1.e3369b9d7fd8cp-2},
+             {8, 150, 150, 0, 0, 0x0p+0},
+             {10, 54, 54, 54, 270, 0x1.128f190d173fap-3},
+             {11, 30, 30, 30, 150, 0x1.315f88fc9364p-4},
+             {12, 114, 114, 114, 228, 0x1.b3a8a3f8982dep-4},
+         },
+         .events = 4327,
+         .ledger_rows = 541,
+         .sample_rows = 0,
+         .sample_value_sum = 0x0p+0,
+         .audit_expected = 1233,
+         .audit_excused = 3,
+         .audit_real_losses = 0}},
+    {21, true, 0,
+     PinnedRun{
+         .summary = {.duration_s = 0x1.8p+2,
+                     .brokers_with_traffic = 11,
+                     .allocated_brokers = 13,
+                     .publications = 541,
+                     .deliveries = 1110,
+                     .broker_msgs_total = 5280,
+                     .avg_broker_msg_rate = 0x1.0ec4ec4ec4ec5p+6,
+                     .system_msg_rate = 0x1.b8p+9,
+                     .avg_hop_count = 0x1.af0c743ce2f0cp+1,
+                     .avg_delivery_delay_ms = 0x1.778df43e4db1dp+4,
+                     .p50_delivery_delay_ms = 0x1.02fbed2c01932p+1,
+                     .p99_delivery_delay_ms = 0x1.d9f4c12360aaap+9,
+                     .avg_output_utilization = 0x1.128948745b2f4p-13,
+                     .pure_forwarding_brokers = 0,
+                     .retransmit_overflow = 0,
+                     .pubs_deferred = 0,
+                     .pubs_shed = 0,
+                     .msgs_stranded = 0},
+         .faults = {.crashes = 1,
+                    .restarts = 1,
+                    .link_downs = 0,
+                    .link_ups = 0,
+                    .pubs_dropped_at_source = 0,
+                    .arrivals_dropped = 29,
+                    .deliveries_dropped = 0,
+                    .msgs_dropped_link_down = 0,
+                    .msgs_dropped_random = 76,
+                    .retransmits_replayed = 29,
+                    .retransmit_overflow = 0,
+                    .pubs_deferred_admission = 0,
+                    .pubs_readmitted = 0,
+                    .pubs_shed_admission = 0},
+         .traffic = {
+             {0, 461, 665, 267, 561, 0x1.a219220ff5401p-2},
+             {1, 411, 606, 0, 0, 0x0p+0},
+             {2, 175, 175, 25, 100, 0x1.a666666666664p-4},
+             {3, 286, 523, 96, 96, 0x1.4a4d2b2bfdb45p-5},
+             {4, 124, 124, 124, 620, 0x1.7972830a0b1ccp+4},
+             {5, 358, 292, 208, 956, 0x1.87b890d5a5b87p-1},
+             {6, 203, 203, 203, 812, 0x1.5cbf4cb189798p-1},
+             {8, 150, 150, 0, 0, 0x0p+0},
+             {10, 46, 46, 46, 230, 0x1.6cf63800218e4p-3},
+             {11, 27, 27, 27, 135, 0x1.d77318fc5048p-4},
+             {12, 114, 114, 114, 228, 0x1.60ff540895d07p-3},
+         },
+         .events = 4041,
+         .ledger_rows = 541,
+         .sample_rows = 0,
+         .sample_value_sum = 0x0p+0,
+         .audit_expected = 1233,
+         .audit_excused = 14,
+         .audit_real_losses = 109}},
+    {21, true, 250,
+     PinnedRun{
+         .summary = {.duration_s = 0x1.8p+2,
+                     .brokers_with_traffic = 11,
+                     .allocated_brokers = 13,
+                     .publications = 541,
+                     .deliveries = 1110,
+                     .broker_msgs_total = 5280,
+                     .avg_broker_msg_rate = 0x1.0ec4ec4ec4ec5p+6,
+                     .system_msg_rate = 0x1.b8p+9,
+                     .avg_hop_count = 0x1.af0c743ce2f0cp+1,
+                     .avg_delivery_delay_ms = 0x1.778df43e4db1dp+4,
+                     .p50_delivery_delay_ms = 0x1.02fbed2c01932p+1,
+                     .p99_delivery_delay_ms = 0x1.d9f4c12360aaap+9,
+                     .avg_output_utilization = 0x1.128948745b2f4p-13,
+                     .pure_forwarding_brokers = 0,
+                     .retransmit_overflow = 0,
+                     .pubs_deferred = 0,
+                     .pubs_shed = 0,
+                     .msgs_stranded = 0},
+         .faults = {.crashes = 1,
+                    .restarts = 1,
+                    .link_downs = 0,
+                    .link_ups = 0,
+                    .pubs_dropped_at_source = 0,
+                    .arrivals_dropped = 29,
+                    .deliveries_dropped = 0,
+                    .msgs_dropped_link_down = 0,
+                    .msgs_dropped_random = 76,
+                    .retransmits_replayed = 29,
+                    .retransmit_overflow = 0,
+                    .pubs_deferred_admission = 0,
+                    .pubs_readmitted = 0,
+                    .pubs_shed_admission = 0},
+         .traffic = {
+             {0, 461, 665, 267, 561, 0x1.a219220ff5401p-2},
+             {1, 411, 606, 0, 0, 0x0p+0},
+             {2, 175, 175, 25, 100, 0x1.a666666666664p-4},
+             {3, 286, 523, 96, 96, 0x1.4a4d2b2bfdb45p-5},
+             {4, 124, 124, 124, 620, 0x1.7972830a0b1ccp+4},
+             {5, 358, 292, 208, 956, 0x1.87b890d5a5b87p-1},
+             {6, 203, 203, 203, 812, 0x1.5cbf4cb189798p-1},
+             {8, 150, 150, 0, 0, 0x0p+0},
+             {10, 46, 46, 46, 230, 0x1.6cf63800218e4p-3},
+             {11, 27, 27, 27, 135, 0x1.d77318fc5048p-4},
+             {12, 114, 114, 114, 228, 0x1.60ff540895d07p-3},
+         },
+         .events = 4065,
+         .ledger_rows = 541,
+         .sample_rows = 306,
+         .sample_value_sum = 0x1.4a0023e4abe6ap+14,
+         .audit_expected = 1233,
+         .audit_excused = 14,
+         .audit_real_losses = 109}},
+  };
+  return cases;
+}
+
+void expect_pinned(const PinnedRun& want, const PinnedRun& got) {
+  const SimSummary& a = want.summary;
+  const SimSummary& b = got.summary;
+  EXPECT_EQ(b.duration_s, a.duration_s);
+  EXPECT_EQ(b.brokers_with_traffic, a.brokers_with_traffic);
+  EXPECT_EQ(b.allocated_brokers, a.allocated_brokers);
+  EXPECT_EQ(b.publications, a.publications);
+  EXPECT_EQ(b.deliveries, a.deliveries);
+  EXPECT_EQ(b.broker_msgs_total, a.broker_msgs_total);
+  EXPECT_EQ(b.avg_broker_msg_rate, a.avg_broker_msg_rate);
+  EXPECT_EQ(b.system_msg_rate, a.system_msg_rate);
+  EXPECT_EQ(b.avg_hop_count, a.avg_hop_count);
+  EXPECT_EQ(b.avg_delivery_delay_ms, a.avg_delivery_delay_ms);
+  EXPECT_EQ(b.p50_delivery_delay_ms, a.p50_delivery_delay_ms);
+  EXPECT_EQ(b.p99_delivery_delay_ms, a.p99_delivery_delay_ms);
+  EXPECT_EQ(b.avg_output_utilization, a.avg_output_utilization);
+  EXPECT_EQ(b.pure_forwarding_brokers, a.pure_forwarding_brokers);
+  EXPECT_EQ(b.retransmit_overflow, a.retransmit_overflow);
+  EXPECT_EQ(b.pubs_deferred, a.pubs_deferred);
+  EXPECT_EQ(b.pubs_shed, a.pubs_shed);
+  EXPECT_EQ(b.msgs_stranded, a.msgs_stranded);
+
+  const FaultStats& fa = want.faults;
+  const FaultStats& fb = got.faults;
+  EXPECT_EQ(fb.crashes, fa.crashes);
+  EXPECT_EQ(fb.restarts, fa.restarts);
+  EXPECT_EQ(fb.link_downs, fa.link_downs);
+  EXPECT_EQ(fb.link_ups, fa.link_ups);
+  EXPECT_EQ(fb.pubs_dropped_at_source, fa.pubs_dropped_at_source);
+  EXPECT_EQ(fb.arrivals_dropped, fa.arrivals_dropped);
+  EXPECT_EQ(fb.deliveries_dropped, fa.deliveries_dropped);
+  EXPECT_EQ(fb.msgs_dropped_link_down, fa.msgs_dropped_link_down);
+  EXPECT_EQ(fb.msgs_dropped_random, fa.msgs_dropped_random);
+  EXPECT_EQ(fb.retransmits_replayed, fa.retransmits_replayed);
+  EXPECT_EQ(fb.retransmit_overflow, fa.retransmit_overflow);
+  EXPECT_EQ(fb.pubs_deferred_admission, fa.pubs_deferred_admission);
+  EXPECT_EQ(fb.pubs_readmitted, fa.pubs_readmitted);
+  EXPECT_EQ(fb.pubs_shed_admission, fa.pubs_shed_admission);
+
+  ASSERT_EQ(got.traffic.size(), want.traffic.size());
+  for (std::size_t i = 0; i < want.traffic.size(); ++i) {
+    const PinnedTraffic& ta = want.traffic[i];
+    const PinnedTraffic& tb = got.traffic[i];
+    SCOPED_TRACE(::testing::Message() << "broker " << ta.broker);
+    EXPECT_EQ(tb.broker, ta.broker);
+    EXPECT_EQ(tb.msgs_in, ta.msgs_in);
+    EXPECT_EQ(tb.msgs_out, ta.msgs_out);
+    EXPECT_EQ(tb.local_deliveries, ta.local_deliveries);
+    EXPECT_EQ(tb.hop_total, ta.hop_total);
+    EXPECT_EQ(tb.delay_total_s, ta.delay_total_s);
+  }
+
+  EXPECT_EQ(got.events, want.events);
+  EXPECT_EQ(got.ledger_rows, want.ledger_rows);
+  EXPECT_EQ(got.sample_rows, want.sample_rows);
+  EXPECT_EQ(got.sample_value_sum, want.sample_value_sum);
+  EXPECT_EQ(got.audit_expected, want.audit_expected);
+  EXPECT_EQ(got.audit_excused, want.audit_excused);
+  EXPECT_EQ(got.audit_real_losses, want.audit_real_losses);
+}
+
+TEST(SimDeterminism, MatchesPinnedOutput) {
+  for (const PinnedCase& c : pinned_cases()) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << c.seed << " faulted=" << c.faulted
+                                      << " sample_ms=" << c.sample_ms);
+    const PinnedRun got = pinned_run(c.seed, c.faulted, c.sample_ms);
+    ASSERT_GT(got.summary.deliveries, 0u);
+    expect_pinned(c.expect, got);
+  }
+}
+
+TEST(SimDeterminism, CrashOutageReplaysWithCleanAudit) {
+  // One 1.5 s outage in the middle of a chain at 50 msg/s: crash,
+  // store-and-forward buffering and restart replay all happen mid-run.
+  TestNet net(8);
+  net.add_publisher("AAA", 0, 50.0);
+  net.add_subscriber("[symbol,=,'AAA']", 7);
+  net.add_subscriber("[symbol,=,'AAA']", 4);
+  Simulation sim = net.make();
+  FaultSchedule fs;
+  fs.outage(seconds(2.0), seconds(1.5), BrokerId{3});
+  FaultOptions fo;
+  fo.retransmit_on_reconnect = true;
+  sim.install_faults(std::move(fs), fo);
+  sim.run(8.0);
+  EXPECT_GT(sim.fault_state().stats().retransmits_replayed, 0u);
+  const LossAudit audit =
+      audit_losses(sim, StockQuoteGenerator(StockQuoteGenerator::Config{}, Rng(99)));
+  EXPECT_GT(audit.expected, 0u);
+  EXPECT_TRUE(audit.clean()) << audit.real_losses.size() << " real losses";
+}
+
+TEST(Simulation, SamplingCanBeDisabledAndReenabledMidEpoch) {
+  TestNet net(3);
+  net.add_publisher("YHOO", 0);
+  net.add_subscriber("[symbol,=,'YHOO']", 2);
+  Simulation sim = net.make();
+  sim.set_sample_interval_ms(100);
+  sim.run(1.0);
+  const std::size_t rows = sim.samples().row_count();
+  EXPECT_EQ(rows, 30u);  // 10 samples x 3 brokers
+  // Disabled while a sample event is pending: the next run() returns and
+  // no row is added.
+  sim.set_sample_interval_ms(0);
+  sim.run(1.0);
+  EXPECT_EQ(sim.samples().row_count(), rows);
+  // Re-enabled: sampling resumes one interval into the next run(), and its
+  // first rates cover that interval only, not the pause before it.
+  sim.set_sample_interval_ms(100);
+  sim.run(1.0);
+  EXPECT_EQ(sim.samples().row_count(), rows + 30u);
+  const auto& resumed = sim.samples().rows()[rows];
+  EXPECT_DOUBLE_EQ(resumed.time_s, 2.1);
+  EXPECT_EQ(resumed.key, 0u);
+  EXPECT_LE(resumed.values[0], 20.0);  // 10 msg/s publisher on broker 0
 }
 
 }  // namespace
