@@ -17,9 +17,9 @@
 // profile epochs) and plan through the incremental session.
 //
 // Knobs: GREENPS_TINY=1 / GREENPS_FULL=1 scale, GREENPS_BENCH_BUDGET_S,
-// GREENPS_CHURN_TURNOVER (fraction/s, default 0.01), GREENPS_CHURN_STEPS,
-// GREENPS_CRAM_REBASELINE (rebaseline every N deltas; the bench also
-// requests one whenever measured drift reaches 80% of the oracle epsilon).
+// GREENPS_CHURN_TURNOVER (fraction/s, default 0.01), GREENPS_CHURN_STEPS.
+// The bench requests a rebaseline whenever measured drift reaches 80% of
+// the oracle epsilon.
 // Results land in BENCH_churn.json.
 #include <chrono>
 #include <cstdio>
@@ -138,8 +138,7 @@ int main() {
     // Drift watchdog: when the incremental objective creeps toward the
     // oracle's epsilon bound (80% of the allowance), fold a from-scratch
     // convergence into the session at the next apply() rather than waiting
-    // for a violation. GREENPS_CRAM_REBASELINE additionally forces a
-    // periodic rebaseline every N deltas.
+    // for a violation.
     const double drift_gap =
         oracle.scratch_objective > 0
             ? (oracle.incremental_objective - oracle.scratch_objective) /

@@ -114,8 +114,9 @@ int main() {
     UnionProfile::reset_probe_walks();
     const double t =
         time_of([&] { r = cram_allocate(pool, units, info.publisher_table, opts); });
-    // Union-rate walks by this thread (complete when threads == 1; worker
-    // threads keep their own counters).
+    // Union-rate walks by this thread. They happen only inside allocation
+    // probes, which all run on the calling thread, so the count is complete
+    // for every thread count.
     const std::size_t walks = UnionProfile::probe_walks();
     if (m == ClosenessMetric::kXor) {
       xor_time = t;
@@ -145,7 +146,6 @@ int main() {
                             .set_integer("probe_units_skipped", r.stats.probe_units_skipped)
                             .set_integer("main_thread_probe_walks", walks)
                             .set_integer("base_rebuilds", r.stats.base_rebuilds)
-                            .set_integer("speculative_probes", r.stats.speculative_probes)
                             .render());
   }
   if (xor_time > 0 && prunable_max > 0) {

@@ -320,11 +320,13 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   EventQueue q;
   Rng rng(9);
   std::uint64_t executed = 0;
+  std::uint64_t seq = 0;
   constexpr int kBurst = 1024;
   for (auto _ : state) {
     const SimTime base = q.now();
     for (int i = 0; i < kBurst; ++i) {
-      q.schedule(base + rng.uniform_int(1, 1000), [&executed] { ++executed; });
+      q.schedule_keyed(base + rng.uniform_int(1, 1000), EventKey{0, seq++},
+                       [&executed] { ++executed; });
     }
     q.run_until(base + 1001);
   }

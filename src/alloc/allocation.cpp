@@ -197,11 +197,10 @@ std::size_t CheckpointedFirstFit::divergence_position(const std::vector<UnitRang
 
 PackProbe CheckpointedFirstFit::probe_replacement(const std::vector<UnitRange>& removed,
                                                   const SubUnit* added,
-                                                  const PublisherTable& table,
-                                                  Scratch& scratch) const {
+                                                  const PublisherTable& table) {
   PackProbe probe;
   const std::size_t diverge = divergence_position(removed, added);
-  const std::size_t start = load_checkpoint(diverge, scratch.loads);
+  const std::size_t start = load_checkpoint(diverge, work_);
   // Base prefix [0, start) is identical in the overlay (every removed unit
   // and the insertion point lie at positions >= diverge >= start), so the
   // checkpointed state stands in for packing it.
@@ -220,7 +219,7 @@ PackProbe CheckpointedFirstFit::probe_replacement(const std::vector<UnitRange>& 
     }
     probe.units_packed += 1;
     bool placed = false;
-    for (BrokerLoad& load : scratch.loads) {
+    for (BrokerLoad& load : work_) {
       if (load.try_add(*next, table)) {
         placed = true;
         break;
@@ -228,7 +227,7 @@ PackProbe CheckpointedFirstFit::probe_replacement(const std::vector<UnitRange>& 
     }
     if (!placed) return probe;
   }
-  for (const BrokerLoad& load : scratch.loads) {
+  for (const BrokerLoad& load : work_) {
     if (!load.empty()) probe.brokers_used += 1;
   }
   probe.success = true;

@@ -68,8 +68,8 @@ struct UnitRange {
 // bit-identical to a from-scratch packing of the overlay. Rebuilding after
 // a committed overlay resumes the same way via `resume_pos`.
 //
-// probe_replacement is const and touches only caller-owned scratch, so
-// probes may run concurrently (CRAM's speculative parallel k-search).
+// A probe leaves the base and its checkpoints untouched; it only reuses the
+// packer's working loads, so probes run one at a time.
 class CheckpointedFirstFit {
  public:
   // No checkpoints: every probe and rebuild packs from position 0.
@@ -78,12 +78,6 @@ class CheckpointedFirstFit {
   // `stride` = checkpoint interval in units; 0 resolves to ~n/64 (min 16) at
   // the first rebuild and stays fixed so checkpoint positions never shift.
   explicit CheckpointedFirstFit(std::vector<AllocBroker> pool, std::size_t stride = 0);
-
-  // Per-probe working state (broker loads), reusable across probes and
-  // owned per worker thread during parallel searches.
-  struct Scratch {
-    std::vector<BrokerLoad> loads;
-  };
 
   // Pack `units` as the new base, snapshotting broker states. The caller
   // guarantees units[0, resume_pos) is identical (by pointee value and
@@ -106,14 +100,15 @@ class CheckpointedFirstFit {
   [[nodiscard]] const std::vector<const SubUnit*>& units() const { return units_; }
   [[nodiscard]] std::size_t stride() const { return stride_; }
   [[nodiscard]] std::size_t checkpoint_count() const { return valid_ckpts_; }
+  // Broker loads left by the last rebuild or probe_replacement.
+  [[nodiscard]] const std::vector<BrokerLoad>& loads() const { return work_; }
 
   // Feasibility of the base sequence minus `removed` plus `added` (nullable),
   // resumed from the nearest checkpoint before the first divergence. Every
   // removed range must reference units of the current base.
   [[nodiscard]] PackProbe probe_replacement(const std::vector<UnitRange>& removed,
                                             const SubUnit* added,
-                                            const PublisherTable& table,
-                                            Scratch& scratch) const;
+                                            const PublisherTable& table);
 
   // First pack-order position where the overlay diverges from the base —
   // the checkpoint-resume point, exposed so a commit can hand it to the
@@ -134,7 +129,7 @@ class CheckpointedFirstFit {
   // ckpts_[i] = broker states after packing (i+1)*stride_ base units.
   std::vector<std::vector<BrokerLoad>> ckpts_;
   std::size_t valid_ckpts_ = 0;
-  std::vector<BrokerLoad> work_;  // rebuild working state
+  std::vector<BrokerLoad> work_;  // rebuild and probe working state
   PackProbe base_;
 };
 

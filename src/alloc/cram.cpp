@@ -1,9 +1,13 @@
 #include "alloc/cram.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "alloc/cram_run.hpp"
+#include "common/logging.hpp"
 
 namespace greenps {
 
@@ -14,6 +18,16 @@ std::uint64_t splitmix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
+}
+
+// A thread count is a whole decimal number in [1, kMaxCramThreads]: no sign,
+// no whitespace, no trailing characters.
+std::optional<std::size_t> parse_thread_count(std::string_view text) {
+  std::size_t n = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  if (ec != std::errc{} || ptr != end || n < 1 || n > kMaxCramThreads) return std::nullopt;
+  return n;
 }
 
 }  // namespace
@@ -35,11 +49,12 @@ CramOptions resolve_cram_options(const CramOptions& options) {
   if (!opts.gif_grouping) opts.poset_pruning = false;
   if (const char* env = std::getenv("GREENPS_CRAM_THREADS");
       env != nullptr && *env != '\0') {
-    opts.threads = static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-  }
-  if (const char* env = std::getenv("GREENPS_CRAM_REBASELINE");
-      env != nullptr && *env != '\0') {
-    opts.rebaseline_interval = static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
+    if (const auto n = parse_thread_count(env)) {
+      opts.threads = *n;
+    } else {
+      log::warn("GREENPS_CRAM_THREADS='", env, "' is not a whole number in [1, ",
+                kMaxCramThreads, "]; keeping threads=", opts.threads);
+    }
   }
   return opts;
 }

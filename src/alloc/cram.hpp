@@ -13,8 +13,8 @@
 //                          side with its covered GIFs (greedy set cover)
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <limits>
 
 #include "alloc/allocation.hpp"
 #include "alloc/gif.hpp"
@@ -27,34 +27,20 @@ struct CramOptions {
   bool gif_grouping = true;   // optimization 1
   bool poset_pruning = true;  // optimization 2
   bool one_to_many = true;    // optimization 3
-  std::size_t max_iterations = std::numeric_limits<std::size_t>::max();
-  // Worker threads for the best-partner search and the speculative k-search
-  // (the caller counts as one): 0 = hardware_concurrency. Results are
-  // bit-identical for every thread count — the searches read a snapshot and
-  // merge deterministically. GREENPS_CRAM_THREADS, when set, overrides this.
+  // Worker threads for the best-partner search (the caller counts as one):
+  // 0 = hardware_concurrency. Allocation probes always run on the calling
+  // thread. Results are bit-identical for every thread count — the search
+  // reads a snapshot and merges deterministically. GREENPS_CRAM_THREADS,
+  // when set to a valid count, overrides this.
   std::size_t threads = 0;
-  // Checkpoint interval, in units, of the incremental allocation probe
-  // (CheckpointedFirstFit): 0 resolves to ~initial_units/64,
-  // CheckpointedFirstFit::kNoCheckpoints disables resume so every probe
-  // packs from scratch. Any value yields bit-identical allocations; only
-  // the amount of packing work skipped changes.
-  std::size_t probe_checkpoint_stride = 0;
-  // Drift re-baselining for IncrementalCram sessions: after this many
-  // apply() deltas, the session folds a from-scratch convergence over the
-  // live population into itself, resetting accumulated clustering drift
-  // (incremental reconvergence never revisits untouched neighborhoods, so
-  // drift vs from-scratch grows with delta count). 0 = never rebaseline.
-  // GREENPS_CRAM_REBASELINE, when set, overrides this.
-  std::size_t rebaseline_interval = 0;
 };
 
 struct CramStats {
   std::size_t initial_units = 0;
   std::size_t gif_count = 0;                // after grouping
   std::size_t closeness_computations = 0;
-  // Decision-path allocation probes (BIN PACKING feasibility tests). Does
-  // not include speculative probes, so it is identical for every thread
-  // count and checkpoint stride.
+  // Allocation probes (BIN PACKING feasibility tests). Identical for every
+  // thread count.
   std::size_t allocation_runs = 0;
   std::size_t clusterings_applied = 0;
   std::size_t clusterings_rejected = 0;     // failed allocation test
@@ -62,22 +48,18 @@ struct CramStats {
   std::size_t iterations = 0;
   std::size_t final_units = 0;              // clusters in the result
   std::size_t threads_used = 1;             // resolved pair-search thread count
-  // Checkpoint-resume effectiveness, summed over base rebuilds and
-  // decision-path probes: units walked through the allocation test vs.
-  // units whose packing a checkpoint stood in for. packed + skipped is
-  // invariant across strides and thread counts; the packed:skipped ratio is
-  // the work the incremental probe avoids.
+  // Checkpoint-resume effectiveness, summed over base rebuilds and probes:
+  // units walked through the allocation test vs. units whose packing a
+  // checkpoint stood in for. packed + skipped is invariant across thread
+  // counts; the packed:skipped ratio is the work the incremental probe
+  // avoids.
   std::size_t probe_units_packed = 0;
   std::size_t probe_units_skipped = 0;
   // Re-packs of the committed unit set (each resumes from the divergence
   // position of the committed overlay, so it is mostly checkpoint replay).
   std::size_t base_rebuilds = 0;
-  // k-search probes evaluated ahead of need on worker threads that the
-  // decision path then never consumed. Excluded from every other counter;
-  // the only stat that may vary with the thread count.
-  std::size_t speculative_probes = 0;
   double poset_build_seconds = 0;
-  double probe_seconds = 0;        // packing: rebuilds + probes (incl. speculative)
+  double probe_seconds = 0;        // packing: rebuilds + probes (incl. merged-unit folds)
   double pair_search_seconds = 0;  // best-partner search (refresh_dirty)
   double total_seconds = 0;
 };
@@ -103,9 +85,13 @@ struct CramResult {
   CramStats stats;
 };
 
+// Largest thread count GREENPS_CRAM_THREADS may request.
+inline constexpr std::size_t kMaxCramThreads = 256;
+
 // Normalize an options struct the way cram_allocate does before running:
 // poset pruning is forced off without GIF grouping, and GREENPS_CRAM_THREADS
-// (when set) overrides the thread count. IncrementalCram applies the same
+// overrides the thread count when it holds a whole number in
+// [1, kMaxCramThreads] (any other value logs a warning and is ignored). IncrementalCram applies the same
 // resolution so a delta session and a from-scratch run see identical knobs.
 [[nodiscard]] CramOptions resolve_cram_options(const CramOptions& options);
 

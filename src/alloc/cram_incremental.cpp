@@ -49,10 +49,7 @@ CramResult IncrementalCram::apply(std::vector<SubUnit> added,
     originals_.emplace(u.members.front(), u);
   }
 
-  ++deltas_since_baseline_;
-  if (rebaseline_requested_ ||
-      (opts_.rebaseline_interval > 0 &&
-       deltas_since_baseline_ >= opts_.rebaseline_interval)) {
+  if (rebaseline_requested_) {
     return rebaseline(added.size(), removed);
   }
 
@@ -100,7 +97,6 @@ CramResult IncrementalCram::rebaseline(std::size_t added_units,
   last_delta_.gif_count = run_->gif_count();
   last_delta_.rebaselined = true;
   ++rebaselines_;
-  deltas_since_baseline_ = 0;
   rebaseline_requested_ = false;
 
   auto& reg = obs::MetricsRegistry::global();

@@ -76,13 +76,12 @@ class IncrementalCram {
   CramResult apply(std::vector<SubUnit> added, const std::vector<SubId>& removed);
 
   // Force the next apply() to re-baseline (from-scratch convergence over
-  // the live population folded into the session), regardless of
-  // CramOptions::rebaseline_interval. Callers watching the differential
-  // oracle use this when the union-rate gap approaches the epsilon bound.
+  // the live population folded into the session). Callers watching the
+  // differential oracle use this when the union-rate gap approaches the
+  // epsilon bound.
   void request_rebaseline() { rebaseline_requested_ = true; }
-  // Re-baselines performed so far, and deltas applied since the last one.
+  // Re-baselines performed so far.
   [[nodiscard]] std::size_t rebaselines() const { return rebaselines_; }
-  [[nodiscard]] std::size_t deltas_since_baseline() const { return deltas_since_baseline_; }
 
   [[nodiscard]] const CramDeltaStats& last_delta() const { return last_delta_; }
   [[nodiscard]] std::size_t live_subscriptions() const { return originals_.size(); }
@@ -114,7 +113,6 @@ class IncrementalCram {
   bool initialized_ = false;
   bool rebaseline_requested_ = false;
   std::size_t rebaselines_ = 0;
-  std::size_t deltas_since_baseline_ = 0;
 };
 
 }  // namespace greenps

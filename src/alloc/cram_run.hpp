@@ -46,8 +46,7 @@ inline double seconds_since(Clock::time_point t0) {
 // extending the longest cached shorter prefix, so the association order —
 // and therefore every float in the merged unit — exactly matches the plain
 // sequential fold the search used to recompute per midpoint. Map storage
-// keeps references stable while parallel probes read already-computed
-// prefixes; extension itself must stay on the calling thread.
+// keeps earlier references stable while later prefixes are added.
 class PrefixFold {
  public:
   PrefixFold(SubUnit seed, const SubUnit* arr, const PublisherTable& table)
@@ -79,28 +78,11 @@ class CramRun {
  public:
   CramRun(std::vector<AllocBroker> pool, std::vector<SubUnit> units,
           const PublisherTable& table, const CramOptions& opts)
-      : pool_(std::move(pool)), table_(table), opts_(opts),
-        packer_(pool_, opts.probe_checkpoint_stride),
+      : pool_(std::move(pool)), table_(table), opts_(opts), packer_(pool_),
         threads_(ThreadPool::resolve(opts.threads)) {
     sort_by_capacity_desc(pool_);
     stats_.initial_units = units.size();
     stats_.threads_used = threads_;
-    // Speculation depth for the parallel k-search: the deepest level count
-    // whose frontier (2^L − 1 midpoints) still resolves more decision
-    // levels per parallel round than a sequential probe would — with few
-    // threads the speculative waste outweighs the depth and L stays 0.
-    if (threads_ > 1) {
-      double best_rate = 1.0;  // sequential: one level per probe round
-      for (std::size_t l = 2; l <= 4; ++l) {
-        const std::size_t probes = (std::size_t{1} << l) - 1;
-        const auto rounds = static_cast<double>((probes + threads_ - 1) / threads_);
-        const double rate = static_cast<double>(l) / rounds;
-        if (rate > best_rate) {
-          best_rate = rate;
-          spec_levels_ = l;
-        }
-      }
-    }
     std::vector<Gif> grouped = opts_.gif_grouping ? group_identical_filters(std::move(units))
                                                   : singleton_gifs(std::move(units));
     stats_.gif_count = grouped.size();
@@ -319,7 +301,7 @@ class CramRun {
   // the dirty best-partner caches, pick the global best, try it, repeat
   // until no candidate survives.
   void converge() {
-    while (stats_.iterations < opts_.max_iterations) {
+    while (true) {
       const auto ts = Clock::now();
       {
         // Tagged with the round's dirty-set size: the trace shows how the
@@ -350,7 +332,6 @@ class CramRun {
     reg.counter("cram.clusterings_applied").add(s.clusterings_applied);
     reg.counter("cram.clusterings_rejected").add(s.clusterings_rejected);
     reg.counter("cram.one_to_many_applied").add(s.one_to_many_applied);
-    reg.counter("cram.speculative_probes").add(s.speculative_probes);
     reg.counter("cram.probe_units_packed").add(s.probe_units_packed);
     reg.counter("cram.probe_units_skipped").add(s.probe_units_skipped);
     reg.counter("cram.base_rebuilds").add(s.base_rebuilds);
@@ -491,101 +472,43 @@ class CramRun {
     return gate(packer_.base());
   }
 
+  // Account one overlay probe that started at `t0` and apply the gate.
+  PackProbe accounted(const PackProbe& raw, Clock::time_point t0) {
+    stats_.probe_seconds += seconds_since(t0);
+    ++stats_.allocation_runs;
+    count_probe_work(raw);
+    return gate(raw);
+  }
+
   PackProbe probe_replacement(const std::vector<UnitRange>& removed, const SubUnit& added) {
     ensure_base();
     const auto t0 = Clock::now();
-    const PackProbe raw = packer_.probe_replacement(removed, &added, table_, probe_scratch_);
-    stats_.probe_seconds += seconds_since(t0);
-    ++stats_.allocation_runs;
-    count_probe_work(raw);
-    return gate(raw);
+    return accounted(packer_.probe_replacement(removed, &added, table_), t0);
   }
 
-  // One accounted decision-path probe of `probe_at` (see search_max).
+  // Binary search for the largest k in [lo, hi] whose overlay still
+  // allocates; probe_at(k) must return the raw (ungated) overlay probe of
+  // the k-merge. The first probe, at `lo`, doubles as the feasibility gate:
+  // returns 0 if it fails, else the largest passing k, with its probe in
+  // `winning`.
   template <typename ProbeAt>
-  PackProbe decision_probe(std::size_t k, const ProbeAt& probe_at) {
-    const auto t0 = Clock::now();
-    const PackProbe raw = probe_at(k, probe_scratch_);
-    stats_.probe_seconds += seconds_since(t0);
-    ++stats_.allocation_runs;
-    count_probe_work(raw);
-    return gate(raw);
-  }
-
-  // Binary search for the largest value in [lo, hi] whose overlay still
-  // allocates, given that `lo` already passed with `winning`.
-  //
-  // probe_at(k, scratch) must be a pure raw (ungated) overlay probe and
-  // materialize(k) must prepare its merged unit; with enough threads, the
-  // midpoints of the next spec_levels_ decision levels are evaluated
-  // speculatively in parallel (probes only read the base packing and
-  // per-worker scratch), and the decision path is then replayed out of the
-  // batch — so the result, the gate decisions and all decision-path
-  // accounting are exactly the sequential ones for every thread count.
-  template <typename Materialize, typename ProbeAt>
   std::size_t search_max(std::size_t lo, std::size_t hi, PackProbe& winning,
-                         const Materialize& materialize, const ProbeAt& probe_at) {
-    auto consume = [&](const PackProbe& raw, std::size_t mid) {
-      ++stats_.allocation_runs;
-      count_probe_work(raw);
-      const PackProbe gated = gate(raw);
-      if (gated.success) {
+                         const ProbeAt& probe_at) {
+    auto probe = [&](std::size_t k) {
+      const auto t0 = Clock::now();
+      return accounted(probe_at(k), t0);
+    };
+    winning = probe(lo);
+    if (!winning.success) return 0;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo + 1) / 2;
+      const PackProbe p = probe(mid);
+      if (p.success) {
         lo = mid;
-        winning = gated;
+        winning = p;
       } else {
         hi = mid - 1;
       }
-    };
-    while (lo < hi) {
-      if (spec_levels_ < 2 || hi - lo < 2) {
-        const std::size_t mid = lo + (hi - lo + 1) / 2;
-        materialize(mid);
-        const auto t0 = Clock::now();
-        const PackProbe raw = probe_at(mid, probe_scratch_);
-        stats_.probe_seconds += seconds_since(t0);
-        consume(raw, mid);
-        continue;
-      }
-      // Frontier of every state reachable within spec_levels_ decisions.
-      std::vector<std::size_t> mids;
-      std::vector<std::pair<std::size_t, std::size_t>> frontier{{lo, hi}};
-      for (std::size_t level = 0; level < spec_levels_ && !frontier.empty(); ++level) {
-        std::vector<std::pair<std::size_t, std::size_t>> next;
-        for (const auto& [a, b] : frontier) {
-          if (a >= b) continue;
-          const std::size_t mid = a + (b - a + 1) / 2;
-          mids.push_back(mid);
-          next.emplace_back(mid, b);      // if the probe at mid succeeds
-          next.emplace_back(a, mid - 1);  // if it fails
-        }
-        frontier = std::move(next);
-      }
-      std::sort(mids.begin(), mids.end());
-      mids.erase(std::unique(mids.begin(), mids.end()), mids.end());
-      // Merged units are fold extensions — serialize them before the batch
-      // so the parallel probes perform read-only lookups.
-      for (const std::size_t mid : mids) materialize(mid);
-      if (!workers_) workers_ = std::make_unique<ThreadPool>(threads_);
-      if (spec_scratch_.size() < workers_->size()) spec_scratch_.resize(workers_->size());
-      std::vector<PackProbe> raw(mids.size());
-      const auto t0 = Clock::now();
-      {
-        GREENPS_SPAN_TAGGED("cram.spec_batch", mids.size());
-        workers_->parallel_for_indexed(mids.size(), [&](std::size_t i, std::size_t slot) {
-          raw[i] = probe_at(mids[i], spec_scratch_[slot]);
-        });
-      }
-      stats_.probe_seconds += seconds_since(t0);
-      // Replay the decision path out of the batch.
-      std::size_t used = 0;
-      while (lo < hi) {
-        const std::size_t mid = lo + (hi - lo + 1) / 2;
-        const auto it = std::lower_bound(mids.begin(), mids.end(), mid);
-        if (it == mids.end() || *it != mid) break;  // beyond the batched levels
-        ++used;
-        consume(raw[static_cast<std::size_t>(it - mids.begin())], mid);
-      }
-      stats_.speculative_probes += mids.size() - used;
     }
     return lo;
   }
@@ -802,19 +725,17 @@ class CramRun {
     // merged(k) = the k lightest units folded left to right — cached as
     // fold prefixes: upto(k − 1) is units[0] clustered with units[1..k).
     PrefixFold fold(g.units[0], g.units.data() + 1, table_);
-    auto materialize = [&](std::size_t k) { (void)fold.upto(k - 1); };
-    auto probe_at = [&](std::size_t k, CheckpointedFirstFit::Scratch& scratch) {
+    auto probe_at = [&](std::size_t k) {
       return packer_.probe_replacement({{g.units.data(), g.units.data() + k}},
-                                       &fold.upto(k - 1), table_, scratch);
+                                       &fold.upto(k - 1), table_);
     };
-    materialize(2);
-    PackProbe winning = decision_probe(2, probe_at);  // doubles as the feasibility gate
-    if (!winning.success) {
+    PackProbe winning;
+    const std::size_t lo = search_max(2, n, winning, probe_at);
+    if (lo == 0) {
       ++stats_.clusterings_rejected;
       add_blacklist(gid, gid);
       return;
     }
-    const std::size_t lo = search_max(2, n, winning, materialize, probe_at);
     // Commit k = lo.
     SubUnit merged = fold.upto(lo - 1);
     commit_base({{g.units.data(), g.units.data() + lo}}, &merged, winning);
@@ -896,20 +817,18 @@ class CramRun {
     // merged(m) = cover's lightest folded with covered's m lightest; the
     // profile never changes (covered ⊆ cover), only the unit load does.
     PrefixFold fold(cover.units.front(), covered.units.data(), table_);
-    auto materialize = [&](std::size_t m) { (void)fold.upto(m); };
-    auto probe_at = [&](std::size_t m, CheckpointedFirstFit::Scratch& scratch) {
+    auto probe_at = [&](std::size_t m) {
       return packer_.probe_replacement({{cover.units.data(), cover.units.data() + 1},
                                         {covered.units.data(), covered.units.data() + m}},
-                                       &fold.upto(m), table_, scratch);
+                                       &fold.upto(m), table_);
     };
-    materialize(1);
-    PackProbe winning = decision_probe(1, probe_at);  // doubles as the feasibility gate
-    if (!winning.success) {
+    PackProbe winning;
+    const std::size_t lo = search_max(1, n, winning, probe_at);
+    if (lo == 0) {
       ++stats_.clusterings_rejected;
       add_blacklist(cover_id, covered_id);
       return;
     }
-    const std::size_t lo = search_max(1, n, winning, materialize, probe_at);
     SubUnit merged = fold.upto(lo);
     commit_base({{cover.units.data(), cover.units.data() + 1},
                  {covered.units.data(), covered.units.data() + lo}},
@@ -1051,15 +970,12 @@ class CramRun {
   // after pool_ — the packer copies it before the ctor body sorts it (the
   // packer capacity-sorts its own copy).
   CheckpointedFirstFit packer_;
-  CheckpointedFirstFit::Scratch probe_scratch_;
-  std::vector<CheckpointedFirstFit::Scratch> spec_scratch_;  // one per worker slot
   bool base_valid_ = false;
   std::size_t pending_resume_ = 0;
   PackProbe adopted_;  // winning probe of the last committed overlay
   bool have_adopted_ = false;
-  // Worker pool (pair search + speculative k-search), created on first use.
+  // Worker pool for the best-partner search, created on first use.
   std::size_t threads_ = 1;
-  std::size_t spec_levels_ = 0;  // k-search speculation depth; 0 = sequential
   std::unique_ptr<ThreadPool> workers_;
 };
 

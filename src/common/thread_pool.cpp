@@ -28,11 +28,10 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::run_indices(const std::function<void(std::size_t, std::size_t)>& fn,
-                             std::size_t n, std::size_t slot) {
+void ThreadPool::run_indices(const std::function<void(std::size_t)>& fn, std::size_t n) {
   for (std::size_t i = next_.fetch_add(1, std::memory_order_relaxed); i < n;
        i = next_.fetch_add(1, std::memory_order_relaxed)) {
-    fn(i, slot);
+    fn(i);
   }
 }
 
@@ -50,7 +49,7 @@ void ThreadPool::worker_loop(std::size_t slot) {
       // One span per job execution, tagged with the worker slot so traces
       // show which worker carried which share of the parallel region.
       GREENPS_SPAN_TAGGED("pool.work", slot);
-      run_indices(*job, n, slot);
+      run_indices(*job, n);
     }
     lk.lock();
     if (--active_ == 0) cv_done_.notify_one();
@@ -58,14 +57,9 @@ void ThreadPool::worker_loop(std::size_t slot) {
 }
 
 void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  parallel_for_indexed(n, [&fn](std::size_t i, std::size_t /*slot*/) { fn(i); });
-}
-
-void ThreadPool::parallel_for_indexed(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
   if (workers_.empty() || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i, 0);
+    for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
   {
@@ -79,7 +73,7 @@ void ThreadPool::parallel_for_indexed(
   cv_start_.notify_all();
   {
     GREENPS_SPAN_TAGGED("pool.work", 0);
-    run_indices(fn, n, 0);
+    run_indices(fn, n);
   }
   std::unique_lock<std::mutex> lk(mu_);
   cv_done_.wait(lk, [&] { return active_ == 0; });

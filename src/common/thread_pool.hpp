@@ -36,26 +36,20 @@ class ThreadPool {
   // into per-index slots and merge after the join. fn must not throw.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  // Same, but fn(i, slot) also receives the executing thread's slot: the
-  // caller is slot 0, workers are 1..size()-1. Slots are stable across
-  // jobs, so callers may keep per-slot scratch state (CRAM's speculative
-  // probe scratch) without any synchronization.
-  void parallel_for_indexed(std::size_t n,
-                            const std::function<void(std::size_t, std::size_t)>& fn);
-
   // Resolve a thread-count option: 0 = hardware_concurrency (min 1).
   [[nodiscard]] static std::size_t resolve(std::size_t requested);
 
  private:
+  // `slot` tags the thread's pool.work spans: the caller is 0, workers are
+  // 1..size()-1.
   void worker_loop(std::size_t slot);
-  void run_indices(const std::function<void(std::size_t, std::size_t)>& fn, std::size_t n,
-                   std::size_t slot);
+  void run_indices(const std::function<void(std::size_t)>& fn, std::size_t n);
 
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
-  const std::function<void(std::size_t, std::size_t)>* job_ = nullptr;
+  const std::function<void(std::size_t)>* job_ = nullptr;
   std::size_t job_n_ = 0;
   std::atomic<std::size_t> next_{0};
   std::size_t active_ = 0;       // workers still inside the current job

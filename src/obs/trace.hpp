@@ -8,8 +8,7 @@
 // disabled GREENPS_SPAN, so the macros can sit on warm paths. Enable it
 // with the environment variable GREENPS_TRACE=<path> (auto-started before
 // main, flushed at process exit) or programmatically with trace_start() /
-// trace_stop(). Compiling with -DGREENPS_OBS_DISABLE removes the macros
-// entirely for zero-footprint builds.
+// trace_stop().
 //
 // Event names must have static storage duration (string literals): the
 // tracer stores the pointer, not a copy.
@@ -71,12 +70,6 @@ class TraceSpan {
 
 }  // namespace greenps::obs
 
-#if defined(GREENPS_OBS_DISABLE)
-#define GREENPS_SPAN(name)
-#define GREENPS_SPAN_TAGGED(name, arg)
-#define GREENPS_INSTANT(name)
-#define GREENPS_COUNTER(name, value)
-#else
 #define GREENPS_OBS_CONCAT2(a, b) a##b
 #define GREENPS_OBS_CONCAT(a, b) GREENPS_OBS_CONCAT2(a, b)
 // Scoped span: lives until the end of the enclosing block.
@@ -93,4 +86,3 @@ class TraceSpan {
     if (::greenps::obs::trace_enabled())                                        \
       ::greenps::obs::trace_counter(name, static_cast<double>(value));          \
   } while (0)
-#endif

@@ -55,8 +55,7 @@ class UnionProfile {
 
   // Number of union-rate walks performed by the calling thread
   // (intersection_rate + merge_with_rate), mirroring
-  // SubscriptionProfile::pairwise_walks(). Per-thread so speculative
-  // parallel probes stay contention-free.
+  // SubscriptionProfile::pairwise_walks(). Per-thread, like that counter.
   [[nodiscard]] static std::size_t probe_walks();
   static void reset_probe_walks();
 

@@ -7,14 +7,8 @@
 
 namespace greenps {
 
-void EventQueue::schedule(SimTime time, Action action) {
-  assert(time >= now_);
-  heap_.push(Event{time, EventKey{kInsertionClass << 56, next_seq_++}, std::move(action)});
-}
-
 void EventQueue::schedule_keyed(SimTime time, EventKey key, Action action) {
   assert(time >= now_);
-  assert(key.hi < (kInsertionClass << 56));
   heap_.push(Event{time, key, std::move(action)});
 }
 
@@ -44,7 +38,6 @@ std::size_t EventQueue::run_until(SimTime end) {
 void EventQueue::clear() {
   heap_ = {};
   now_ = 0;
-  next_seq_ = 0;
   executed_ = 0;
 }
 

@@ -1,14 +1,10 @@
 // Discrete-event scheduler: a min-heap of (time, tie-break key, action).
 //
-// Two tie-break disciplines coexist:
-//  - schedule() assigns an insertion-sequence key (the historical behavior:
-//    same-time events fire in the order they were scheduled);
-//  - schedule_keyed() takes a caller-supplied EventKey derived from the
-//    event's *content* (source ordinal + per-source sequence). Content keys
-//    make the execution order a pure function of the simulated system, not
-//    of the order in which handlers happened to schedule their events.
-// Keyed events order before legacy ones at the same timestamp (their class
-// bits are smaller); each discipline is internally deterministic.
+// Every event carries a caller-supplied EventKey derived from the event's
+// *content* (source ordinal + per-source sequence), and events at one
+// timestamp fire in key order. The execution order is therefore a pure
+// function of the simulated system, not of the order in which handlers
+// happened to schedule their events.
 #pragma once
 
 #include <cstdint>
@@ -41,11 +37,7 @@ class EventQueue {
 
   // next_time() when the heap is empty.
   static constexpr SimTime kNoEvent = std::numeric_limits<SimTime>::max();
-  // Class bits assigned to schedule() events; schedule_keyed() callers must
-  // use a smaller class so their ordering is self-contained.
-  static constexpr std::uint64_t kInsertionClass = 3;
 
-  void schedule(SimTime time, Action action);
   void schedule_keyed(SimTime time, EventKey key, Action action);
 
   // Execute events in (time, key) order until the queue is drained or the
@@ -80,7 +72,6 @@ class EventQueue {
 
   std::priority_queue<Event, std::vector<Event>, Later> heap_;
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::size_t executed_ = 0;
 };
 

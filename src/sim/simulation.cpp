@@ -14,12 +14,10 @@ namespace greenps {
 namespace {
 
 // Event-key classes (sim/event_queue.hpp): smaller class fires first at a
-// tied timestamp. Fault events beat sampler ticks beat traffic, and all of
-// them beat legacy insertion-keyed events (kInsertionClass).
+// tied timestamp. Fault events beat sampler ticks beat traffic.
 constexpr std::uint64_t kFaultClass = 0;
 constexpr std::uint64_t kSamplerClass = 1;
 constexpr std::uint64_t kSourceClass = 2;
-static_assert(kSourceClass < EventQueue::kInsertionClass);
 
 EventKey make_key(std::uint64_t klass, std::uint64_t ord, std::uint64_t seq) {
   return EventKey{(klass << 56) | ord, seq};

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <unordered_set>
 
@@ -242,9 +243,10 @@ std::vector<SubUnit> mixed_units(const PublisherTable& table) {
   return units;
 }
 
-// The tentpole invariant: the threaded pair search is bit-identical to the
-// serial one — same allocation, same stats (timings aside) — because the
-// searches read a snapshot and merge in a fixed order after the join.
+// The threaded pair search is bit-identical to the serial one — same
+// allocation, same stats (timings aside) — because the searches read a
+// snapshot and merge in a fixed order after the join. That covers the
+// packing work too: base rebuilds and packed + skipped probe units match.
 TEST_P(CramMetricTest, ThreadCountDoesNotChangeTheResult) {
   const auto table = one_publisher();
   const auto units = mixed_units(table);
@@ -268,45 +270,69 @@ TEST_P(CramMetricTest, ThreadCountDoesNotChangeTheResult) {
   EXPECT_EQ(rs.stats.one_to_many_applied, rt.stats.one_to_many_applied);
   EXPECT_EQ(rs.stats.gif_count, rt.stats.gif_count);
   EXPECT_EQ(rs.stats.final_units, rt.stats.final_units);
+  EXPECT_EQ(rs.stats.base_rebuilds, rt.stats.base_rebuilds);
+  EXPECT_EQ(rs.stats.probe_units_packed + rs.stats.probe_units_skipped,
+            rt.stats.probe_units_packed + rt.stats.probe_units_skipped);
 }
 
-// The tentpole invariant, extended over the incremental probe: thread count
-// (serial vs. speculative parallel k-search) and checkpoint interval (every
-// unit, auto, none) change only how the packing work is scheduled, never
-// the result or the decision-path accounting. packed + skipped is conserved
-// across strides — a checkpoint only converts walked units into skipped
-// ones.
+// Neither the thread count nor the probe's checkpoint interval changes the
+// result. CRAM packs with the auto stride, so the interval is checked on
+// CRAM's own output: its final clusters, packed in BIN PACKING order by
+// CheckpointedFirstFit at every stride (every unit, auto, none), give the
+// allocation's broker count, and each overlay with one cluster removed
+// gives the same outcome, broker count and packed + skipped total at every
+// stride — a checkpoint only converts walked units into skipped ones.
 TEST_P(CramMetricTest, CheckpointIntervalAndThreadCountDoNotChangeTheResult) {
   const auto table = one_publisher();
   const auto units = mixed_units(table);
-  CramOptions ref_opts;
-  ref_opts.metric = GetParam();
-  ref_opts.threads = 1;
-  ref_opts.probe_checkpoint_stride = CheckpointedFirstFit::kNoCheckpoints;
-  const CramResult ref = cram_allocate(pool(40, 100.0), units, table, ref_opts);
-  ASSERT_TRUE(ref.allocation.success);
-  const std::size_t ref_work =
-      ref.stats.probe_units_packed + ref.stats.probe_units_skipped;
-  EXPECT_EQ(ref.stats.probe_units_skipped, 0u);  // no checkpoints: nothing skipped
+  std::string ref_signature;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    CramOptions o;
+    o.metric = GetParam();
+    o.threads = threads;
+    const CramResult r = cram_allocate(pool(40, 100.0), units, table, o);
+    ASSERT_TRUE(r.allocation.success);
+    const std::string signature = allocation_signature(r.allocation);
+    if (threads == 1) ref_signature = signature;
+    EXPECT_EQ(signature, ref_signature);
+
+    std::vector<SubUnit> clusters;
+    for (const BrokerLoad& b : r.allocation.brokers) {
+      clusters.insert(clusters.end(), b.units().begin(), b.units().end());
+    }
+    std::vector<const SubUnit*> order;
+    for (const SubUnit& c : clusters) order.push_back(&c);
+    sort_units_by_bandwidth_desc(order);
+    ASSERT_GT(order.size(), 1u);
+
+    std::vector<PackProbe> ref_overlays;
     for (const std::size_t stride :
-         {std::size_t{1}, std::size_t{0}, CheckpointedFirstFit::kNoCheckpoints}) {
-      CramOptions o = ref_opts;
-      o.threads = threads;
-      o.probe_checkpoint_stride = stride;
-      const CramResult r = cram_allocate(pool(40, 100.0), units, table, o);
-      ASSERT_TRUE(r.allocation.success);
-      EXPECT_EQ(allocation_signature(r.allocation), allocation_signature(ref.allocation));
-      EXPECT_EQ(r.stats.closeness_computations, ref.stats.closeness_computations);
-      EXPECT_EQ(r.stats.allocation_runs, ref.stats.allocation_runs);
-      EXPECT_EQ(r.stats.iterations, ref.stats.iterations);
-      EXPECT_EQ(r.stats.clusterings_applied, ref.stats.clusterings_applied);
-      EXPECT_EQ(r.stats.clusterings_rejected, ref.stats.clusterings_rejected);
-      EXPECT_EQ(r.stats.one_to_many_applied, ref.stats.one_to_many_applied);
-      EXPECT_EQ(r.stats.final_units, ref.stats.final_units);
-      EXPECT_EQ(r.stats.base_rebuilds, ref.stats.base_rebuilds);
-      EXPECT_EQ(r.stats.probe_units_packed + r.stats.probe_units_skipped, ref_work);
-      if (threads == 1) EXPECT_EQ(r.stats.speculative_probes, 0u);
+         {CheckpointedFirstFit::kNoCheckpoints, std::size_t{1}, std::size_t{0}}) {
+      CheckpointedFirstFit packer(pool(40, 100.0), stride);
+      const PackProbe base = packer.rebuild(order, table);
+      ASSERT_TRUE(base.success);
+      EXPECT_EQ(base.brokers_used, r.allocation.brokers_used());
+      EXPECT_EQ(base.units_packed + base.units_skipped, order.size());
+      std::vector<PackProbe> overlays;
+      for (const SubUnit* removed : order) {
+        overlays.push_back(
+            packer.probe_replacement({UnitRange{removed, removed + 1}}, nullptr, table));
+        EXPECT_EQ(overlays.back().units_packed + overlays.back().units_skipped,
+                  order.size() - 1);
+      }
+      if (ref_overlays.empty()) {
+        for (const PackProbe& p : overlays) EXPECT_EQ(p.units_skipped, 0u);  // no checkpoints
+        ref_overlays = overlays;
+        continue;
+      }
+      ASSERT_EQ(overlays.size(), ref_overlays.size());
+      if (stride == 1) {
+        EXPECT_GT(overlays.back().units_skipped, 0u);  // resumed, not repacked
+      }
+      for (std::size_t i = 0; i < overlays.size(); ++i) {
+        EXPECT_EQ(overlays[i].success, ref_overlays[i].success) << "stride " << stride;
+        EXPECT_EQ(overlays[i].brokers_used, ref_overlays[i].brokers_used) << "stride " << stride;
+      }
     }
   }
 }
@@ -334,13 +360,32 @@ TEST(Cram, PairKeyKeepsDistinctPairsDistinct) {
   EXPECT_FALSE(blacklist.contains(k2));
 }
 
-TEST(Cram, MaxIterationsBoundsWork) {
-  const auto table = one_publisher();
+// GREENPS_CRAM_THREADS overrides the option only with a whole decimal count
+// in [1, kMaxCramThreads]; anything else keeps the option's value. Only the
+// resolution is exercised: no CRAM run or thread pool sees a bad value.
+TEST(Cram, ThreadsEnvAcceptsOnlyWholeCountsInRange) {
+  const char* prior = std::getenv("GREENPS_CRAM_THREADS");
+  const std::string saved = prior != nullptr ? prior : "";
   CramOptions opts;
-  opts.max_iterations = 1;
-  const CramResult r = cram_allocate(pool(40, 100.0), grouped_units(table), table, opts);
-  ASSERT_TRUE(r.allocation.success);
-  EXPECT_LE(r.stats.iterations, 1u);
+  opts.threads = 3;
+  auto resolved_with = [&opts](const char* value) {
+    setenv("GREENPS_CRAM_THREADS", value, 1);
+    return resolve_cram_options(opts).threads;
+  };
+  EXPECT_EQ(resolved_with("1"), 1u);
+  EXPECT_EQ(resolved_with("4"), 4u);
+  EXPECT_EQ(resolved_with("256"), kMaxCramThreads);
+  for (const char* bad : {"0", "-1", "4x", "abc", " 4", "+4", "1.5", "257", "100000",
+                          "18446744073709551616"}) {
+    EXPECT_EQ(resolved_with(bad), 3u) << "GREENPS_CRAM_THREADS='" << bad << "'";
+  }
+  // Empty means unset.
+  EXPECT_EQ(resolved_with(""), 3u);
+  if (prior != nullptr) {
+    setenv("GREENPS_CRAM_THREADS", saved.c_str(), 1);
+  } else {
+    unsetenv("GREENPS_CRAM_THREADS");
+  }
 }
 
 }  // namespace

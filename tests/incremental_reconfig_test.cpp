@@ -144,9 +144,9 @@ void run_differential_case(std::uint64_t seed, BatchKind kind, std::size_t threa
   }
 }
 
-// The ISSUE's >=1,000-case differential floor, spread over batch kinds and
-// thread counts. Thread counts beyond 1 exercise the speculative parallel
-// k-search merge inside reconvergence.
+// A >=1,000-case differential floor, spread over batch kinds and
+// thread counts. Thread counts beyond 1 exercise the parallel pair-search
+// merge inside reconvergence.
 TEST(IncrementalDifferential, AddOnlyBatches) {
   for (std::uint64_t seed = 0; seed < 340; ++seed) {
     run_differential_case(1000 + seed, BatchKind::kAddOnly, 1 + seed % 3);

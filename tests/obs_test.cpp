@@ -225,9 +225,6 @@ TEST(TimeSeriesSampler, RendersCsvWithHeaderAndRows) {
 }
 
 TEST(TimeSeriesSampler, SimulationEmitsSamplesWhenEnabled) {
-#if defined(GREENPS_OBS_DISABLE)
-  GTEST_SKIP() << "observability compiled out";
-#endif
   // The sampler knobs are env-driven and read at Simulation construction.
   ScenarioConfig c;
   c.num_brokers = 6;
@@ -271,9 +268,6 @@ TEST(Trace, DisabledSpansAreCheap) {
 }
 
 TEST(Trace, GoldenStructureFromTinyCrocRun) {
-#if defined(GREENPS_OBS_DISABLE)
-  GTEST_SKIP() << "observability compiled out";
-#endif
   const std::string path = "obs_trace_test.trace.json";
   obs::trace_start(path);
   {
@@ -336,15 +330,12 @@ TEST(Trace, GoldenStructureFromTinyCrocRun) {
 }
 
 TEST(Trace, ThreadPoolSpansCarryDistinctThreadsAndTags) {
-#if defined(GREENPS_OBS_DISABLE)
-  GTEST_SKIP() << "observability compiled out";
-#endif
   const std::string path = "obs_pool_test.trace.json";
   obs::trace_start(path);
   {
     ThreadPool pool(4);
     std::atomic<std::uint64_t> sink{0};
-    pool.parallel_for_indexed(256, [&](std::size_t i, std::size_t) {
+    pool.parallel_for(256, [&](std::size_t i) {
       // Enough work per index that every worker picks up a share.
       std::uint64_t h = i + 1;
       for (int r = 0; r < 20000; ++r) h = h * 6364136223846793005ull + 1442695040888963407ull;
@@ -378,9 +369,6 @@ TEST(Trace, ThreadPoolSpansCarryDistinctThreadsAndTags) {
 }
 
 TEST(Trace, CounterAndInstantEventsRender) {
-#if defined(GREENPS_OBS_DISABLE)
-  GTEST_SKIP() << "observability compiled out";
-#endif
   const std::string path = "obs_events_test.trace.json";
   obs::trace_start(path);
   GREENPS_INSTANT("unit.instant");

@@ -146,20 +146,19 @@ PackProbe oracle_probe(const Workload& w, const std::vector<const SubUnit*>& ove
 }
 
 // One overlay, checked against the oracle for one packer.
-void check_overlay(const Workload& w, const CheckpointedFirstFit& packer,
+void check_overlay(const Workload& w, CheckpointedFirstFit& packer,
                    const std::vector<UnitRange>& removed, const SubUnit* added) {
   std::vector<BrokerLoad> oracle_loads;
   const auto overlay = overlay_ptrs(packer.units(), removed, added);
   const PackProbe want = oracle_probe(w, overlay, &oracle_loads);
 
-  CheckpointedFirstFit::Scratch scratch;
-  const PackProbe got = packer.probe_replacement(removed, added, w.table, scratch);
+  const PackProbe got = packer.probe_replacement(removed, added, w.table);
   EXPECT_EQ(got.success, want.success);
   EXPECT_EQ(got.brokers_used, want.brokers_used);
   // Work conservation: resumed + walked covers exactly what the oracle
   // walked, wherever the checkpoints happened to fall.
   EXPECT_EQ(got.units_packed + got.units_skipped, want.units_packed);
-  expect_same_loads(scratch.loads, oracle_loads);
+  expect_same_loads(packer.loads(), oracle_loads);
 }
 
 std::vector<UnitRange> random_removed(const Workload& w, Rng& rng) {
@@ -222,8 +221,7 @@ TEST(ProbeResume, RemovedRangeEdgeCases) {
     // The whole base removed: empty overlay, trivially feasible.
     const UnitRange everything{&w.storage.front(), &w.storage.back() + 1};
     check_overlay(w, packer, {everything}, nullptr);
-    CheckpointedFirstFit::Scratch scratch;
-    const PackProbe empty = packer.probe_replacement({everything}, nullptr, w.table, scratch);
+    const PackProbe empty = packer.probe_replacement({everything}, nullptr, w.table);
     EXPECT_TRUE(empty.success);
     EXPECT_EQ(empty.brokers_used, 0u);
 
@@ -243,23 +241,28 @@ TEST(ProbeResume, RemovedRangeEdgeCases) {
   }
 }
 
+// A probe reads the base and its checkpoints but never changes them, so
+// repeating one gives the same answer and leaves the base as it was.
 TEST(ProbeResume, ProbeIsReusableAndConstAcrossRepeats) {
   Rng rng(7);
   Workload w = random_workload(rng);
   CheckpointedFirstFit packer(w.pool, 3);
-  packer.rebuild(all_ptrs(w), w.table);
+  const PackProbe base = packer.rebuild(all_ptrs(w), w.table);
+  const std::size_t checkpoints = packer.checkpoint_count();
+  const std::vector<const SubUnit*> units = packer.units();
   const SubUnit* victim = packer.units()[packer.units().size() / 2];
-  CheckpointedFirstFit::Scratch scratch;
-  const PackProbe once = packer.probe_replacement({{victim, victim + 1}}, nullptr, w.table,
-                                                  scratch);
+  const PackProbe once = packer.probe_replacement({{victim, victim + 1}}, nullptr, w.table);
   for (int i = 0; i < 3; ++i) {
-    const PackProbe again = packer.probe_replacement({{victim, victim + 1}}, nullptr,
-                                                     w.table, scratch);
+    const PackProbe again = packer.probe_replacement({{victim, victim + 1}}, nullptr, w.table);
     EXPECT_EQ(again.success, once.success);
     EXPECT_EQ(again.brokers_used, once.brokers_used);
     EXPECT_EQ(again.units_packed, once.units_packed);
     EXPECT_EQ(again.units_skipped, once.units_skipped);
   }
+  EXPECT_EQ(packer.base().success, base.success);
+  EXPECT_EQ(packer.base().brokers_used, base.brokers_used);
+  EXPECT_EQ(packer.checkpoint_count(), checkpoints);
+  EXPECT_EQ(packer.units(), units);
 }
 
 // Multi-round: commit random overlays, resuming each rebuild from the
@@ -301,14 +304,11 @@ TEST(ProbeResume, CommitWithResumeHintMatchesFreshRebuild) {
       // And probes on the two bases agree from here on.
       if (!live.empty()) {
         const SubUnit* victim = resumed.units().front();
-        CheckpointedFirstFit::Scratch sa, sb;
-        const PackProbe pa =
-            resumed.probe_replacement({{victim, victim + 1}}, nullptr, w.table, sa);
-        const PackProbe pb =
-            fresh.probe_replacement({{victim, victim + 1}}, nullptr, w.table, sb);
+        const PackProbe pa = resumed.probe_replacement({{victim, victim + 1}}, nullptr, w.table);
+        const PackProbe pb = fresh.probe_replacement({{victim, victim + 1}}, nullptr, w.table);
         EXPECT_EQ(pa.success, pb.success);
         EXPECT_EQ(pa.brokers_used, pb.brokers_used);
-        expect_same_loads(sa.loads, sb.loads);
+        expect_same_loads(resumed.loads(), fresh.loads());
       }
     }
   }
@@ -337,9 +337,7 @@ TEST(ProbeResume, AdoptedBaseMatchesRebuiltBase) {
       const SubUnit* merged = &w.storage.back();
       const std::vector<UnitRange> removed{{ua, ua + 1}, {ub, ub + 1}};
 
-      CheckpointedFirstFit::Scratch scratch;
-      const PackProbe winning =
-          adopted.probe_replacement(removed, merged, w.table, scratch);
+      const PackProbe winning = adopted.probe_replacement(removed, merged, w.table);
       if (!winning.success) break;  // only successful overlays are ever adopted
       const std::size_t hint = adopted.divergence_position(removed, merged);
 
@@ -358,15 +356,12 @@ TEST(ProbeResume, AdoptedBaseMatchesRebuiltBase) {
 
       if (live.empty()) break;
       const SubUnit* victim = adopted.units().front();
-      CheckpointedFirstFit::Scratch sa, sb;
-      const PackProbe pa =
-          adopted.probe_replacement({{victim, victim + 1}}, nullptr, w.table, sa);
-      const PackProbe pb =
-          rebuilt.probe_replacement({{victim, victim + 1}}, nullptr, w.table, sb);
+      const PackProbe pa = adopted.probe_replacement({{victim, victim + 1}}, nullptr, w.table);
+      const PackProbe pb = rebuilt.probe_replacement({{victim, victim + 1}}, nullptr, w.table);
       EXPECT_EQ(pa.success, pb.success);
       EXPECT_EQ(pa.brokers_used, pb.brokers_used);
       EXPECT_EQ(pa.units_packed + pa.units_skipped, pb.units_packed + pb.units_skipped);
-      expect_same_loads(sa.loads, sb.loads);
+      expect_same_loads(adopted.loads(), rebuilt.loads());
     }
   }
 }

@@ -55,32 +55,43 @@ struct TestNet {
   }
 };
 
+// Keys for the queue tests: one source ordinal, sequence `seq`.
+EventKey test_key(std::uint64_t seq) { return EventKey{0, seq}; }
+
 TEST(EventQueue, ExecutesInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
-  q.schedule(30, [&] { order.push_back(3); });
-  q.schedule(10, [&] { order.push_back(1); });
-  q.schedule(20, [&] { order.push_back(2); });
+  q.schedule_keyed(30, test_key(0), [&] { order.push_back(3); });
+  q.schedule_keyed(10, test_key(1), [&] { order.push_back(1); });
+  q.schedule_keyed(20, test_key(2), [&] { order.push_back(2); });
   q.run_until(100);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(q.now(), 100);
 }
 
-TEST(EventQueue, TiesBreakByInsertionOrder) {
+// Equal-time events fire in key order, not in the order they were
+// scheduled — including one scheduled at the current time from inside a
+// handler, which still fires after the lower keys already queued.
+TEST(EventQueue, EqualTimeEventsFireInKeyOrder) {
   EventQueue q;
   std::vector<int> order;
-  q.schedule(10, [&] { order.push_back(1); });
-  q.schedule(10, [&] { order.push_back(2); });
+  q.schedule_keyed(10, EventKey{1, 0}, [&] {
+    order.push_back(4);
+    q.schedule_keyed(10, EventKey{1, 1}, [&] { order.push_back(5); });
+  });
+  q.schedule_keyed(10, EventKey{0, 9}, [&] { order.push_back(3); });
+  q.schedule_keyed(10, EventKey{0, 2}, [&] { order.push_back(2); });
+  q.schedule_keyed(10, EventKey{0, 0}, [&] { order.push_back(1); });
   q.run_until(10);
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
 TEST(EventQueue, EventsCanScheduleEvents) {
   EventQueue q;
   int fired = 0;
-  q.schedule(1, [&] {
+  q.schedule_keyed(1, test_key(0), [&] {
     ++fired;
-    q.schedule(q.now() + 1, [&] { ++fired; });
+    q.schedule_keyed(q.now() + 1, test_key(1), [&] { ++fired; });
   });
   q.run_until(10);
   EXPECT_EQ(fired, 2);
@@ -89,8 +100,8 @@ TEST(EventQueue, EventsCanScheduleEvents) {
 TEST(EventQueue, RunUntilStopsAtHorizon) {
   EventQueue q;
   int fired = 0;
-  q.schedule(5, [&] { ++fired; });
-  q.schedule(50, [&] { ++fired; });
+  q.schedule_keyed(5, test_key(0), [&] { ++fired; });
+  q.schedule_keyed(50, test_key(1), [&] { ++fired; });
   EXPECT_EQ(q.run_until(10), 1u);
   EXPECT_EQ(fired, 1);
   EXPECT_FALSE(q.empty());
@@ -236,9 +247,7 @@ TEST(Simulation, SummaryRatesAreConsistent) {
 TEST(EventQueue, KeyedTiesOrderByKey) {
   EventQueue q;
   std::vector<int> order;
-  // Legacy insertion-keyed events carry the highest class, so they fire
-  // after every content-keyed event at the same timestamp.
-  q.schedule(10, [&] { order.push_back(9); });
+  q.schedule_keyed(10, EventKey{3ull << 56, 0}, [&] { order.push_back(9); });
   q.schedule_keyed(10, EventKey{(2ull << 56) | 3, 5}, [&] { order.push_back(3); });
   q.schedule_keyed(10, EventKey{(1ull << 56) | 7, 0}, [&] { order.push_back(1); });
   q.schedule_keyed(10, EventKey{(2ull << 56) | 3, 1}, [&] { order.push_back(2); });
