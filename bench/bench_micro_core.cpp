@@ -1,8 +1,9 @@
 // E10 — Microbenchmarks of the core data structures (google-benchmark):
 // windowed bit vectors, closeness metrics, profile algebra, poset insertion
-// and the broker matching engine (build, compile, then match the compiled
-// index) — plus an always-run concurrent-matching throughput section
-// (eq-only and range-only suites at 1/2/4/8 reader threads against one
+// and broker matching (a frozen subscription routing table with one
+// advertisement per symbol, matched by publications stamped with their
+// advertisement, as the simulator routes them) — plus an always-run
+// concurrent-matching throughput section (1/2/4/8 reader threads against one
 // frozen routing table) that verifies exact match-set equality against the
 // brute-force oracle and emits BENCH_match.json. GREENPS_TINY=1 shrinks the
 // table and iteration counts to smoke scale.
@@ -20,7 +21,6 @@
 #include "bench_util.hpp"
 #include "broker/routing_tables.hpp"
 #include "common/rng.hpp"
-#include "matching/matching_engine.hpp"
 #include "poset/poset.hpp"
 #include "profile/closeness.hpp"
 #include "sim/event_queue.hpp"
@@ -234,85 +234,79 @@ void BM_IncrementalRecluster(benchmark::State& state) {
 BENCHMARK(BM_IncrementalRecluster)->Arg(1)->Arg(8)->Arg(32)->ArgName("batch")
     ->Unit(benchmark::kMillisecond);
 
+// Symbols of the matching benches; each has its own advertisement.
+constexpr std::size_t kSymbols = 40;
+
+std::string symbol_name(std::size_t i) { return "SYM" + std::to_string(i); }
+
+// Advertisement of `symbol`, as the scenario's publishers announce it.
+Filter symbol_advertisement(const std::string& symbol) {
+  Filter f;
+  f.add(Predicate{"class", Op::kEq, Value(std::string("STOCK"))});
+  f.add(Predicate{"symbol", Op::kEq, Value(symbol)});
+  return f;
+}
+
+// Register one advertisement per symbol (AdvId{i} for symbol_name(i)).
+void register_symbol_advertisements(SubscriptionRoutingTable& table) {
+  for (std::size_t i = 0; i < kSymbols; ++i) {
+    table.register_advertisement(AdvId{i}, symbol_advertisement(symbol_name(i)));
+  }
+}
+
 void BM_MatchingEngine(benchmark::State& state) {
   Rng rng(6);
   StockQuoteGenerator quotes(StockQuoteGenerator::Config{}, rng.fork());
   SubscriptionGenerator subs(SubscriptionGenerator::Config{}, rng.fork());
-  MatchingEngine engine;
-  MatchingEngine::Handle h = 0;
-  std::vector<std::string> symbols;
-  for (int i = 0; i < 40; ++i) symbols.push_back("SYM" + std::to_string(i));
-  for (const auto& sym : symbols) {
-    for (const Filter& f : subs.batch(sym, static_cast<std::size_t>(state.range(0)) / 40,
+  SubscriptionRoutingTable table;
+  register_symbol_advertisements(table);
+  std::uint64_t h = 0;
+  for (std::size_t k = 0; k < kSymbols; ++k) {
+    for (const Filter& f : subs.batch(symbol_name(k),
+                                      static_cast<std::size_t>(state.range(0)) / kSymbols,
                                       quotes)) {
-      engine.insert(h++, f);
+      table.insert(SubId{h}, f, Hop::to_client(ClientId{h}));
+      ++h;
     }
   }
-  const MatchingEngine::Index index = engine.compile();
-  std::vector<std::uint32_t> out;
+  table.freeze();
+  SubscriptionRoutingTable::MatchResult out;
   std::size_t i = 0;
   for (auto _ : state) {
-    const Publication pub = quotes.next(symbols[i++ % symbols.size()]);
-    out.clear();
-    index.match_into(pub, out);
-    benchmark::DoNotOptimize(out.size());
+    const std::size_t k = i % kSymbols;
+    Publication pub = quotes.next(symbol_name(k));
+    pub.set_header(AdvId{k}, i++);
+    table.match_into(pub, nullptr, out);
+    benchmark::DoNotOptimize(out.deliver.size());
   }
-  state.SetLabel(std::to_string(index.subs.size()) + " filters");
+  state.SetLabel(std::to_string(table.filter_count()) + " filters");
 }
 BENCHMARK(BM_MatchingEngine)->Arg(2000)->Arg(8000);
 
-// Equality-only filters: every probe is one hash bucket of the typed index.
+// Equality-only filters: each publication's advertisement scope is the
+// filters on its symbol.
 void BM_MatchingEngineEqOnly(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  MatchingEngine engine;
+  SubscriptionRoutingTable table;
+  register_symbol_advertisements(table);
   for (std::size_t i = 0; i < n; ++i) {
-    Filter f;
-    f.add(Predicate{"class", Op::kEq, Value(std::string("STOCK"))});
-    f.add(Predicate{"symbol", Op::kEq, Value("SYM" + std::to_string(i % 40))});
-    engine.insert(i, std::move(f));
+    table.insert(SubId{i}, symbol_advertisement(symbol_name(i % kSymbols)),
+                 Hop::to_client(ClientId{i}));
   }
+  table.freeze();
   Publication pub;
   pub.set_attr("class", Value(std::string("STOCK")));
-  pub.set_attr("symbol", Value(std::string("SYM7")));
+  pub.set_attr("symbol", Value(symbol_name(7)));
   pub.set_attr("low", Value(18.0));
-  const MatchingEngine::Index index = engine.compile();
-  std::vector<std::uint32_t> out;
+  pub.set_header(AdvId{7}, 1);
+  SubscriptionRoutingTable::MatchResult out;
   for (auto _ : state) {
-    out.clear();
-    index.match_into(pub, out);
-    benchmark::DoNotOptimize(out.size());
+    table.match_into(pub, nullptr, out);
+    benchmark::DoNotOptimize(out.deliver.size());
   }
-  state.SetLabel(std::to_string(index.subs.size()) + " filters");
+  state.SetLabel(std::to_string(table.filter_count()) + " filters");
 }
 BENCHMARK(BM_MatchingEngineEqOnly)->Arg(2000)->Arg(8000);
-
-// Range-only filters (no equality predicate anywhere): before the interval
-// index these all sat on the scan list and every match brute-forced the
-// whole table.
-void BM_MatchingEngineRangeOnly(benchmark::State& state) {
-  Rng rng(8);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  MatchingEngine engine;
-  for (std::size_t i = 0; i < n; ++i) {
-    Filter f;
-    const double lo = rng.uniform_real(0.0, 90.0);
-    f.add(Predicate{"low", Op::kGt, Value(lo)});
-    f.add(Predicate{"low", Op::kLt, Value(lo + rng.uniform_real(0.5, 10.0))});
-    engine.insert(i, std::move(f));
-  }
-  Publication pub;
-  pub.set_attr("class", Value(std::string("STOCK")));
-  pub.set_attr("low", Value(42.0));
-  const MatchingEngine::Index index = engine.compile();
-  std::vector<std::uint32_t> out;
-  for (auto _ : state) {
-    out.clear();
-    index.match_into(pub, out);
-    benchmark::DoNotOptimize(out.size());
-  }
-  state.SetLabel(std::to_string(index.subs.size()) + " filters");
-}
-BENCHMARK(BM_MatchingEngineRangeOnly)->Arg(2000)->Arg(8000);
 
 // Event-queue throughput: schedule a burst, drain it, repeat. The Action is
 // an inline-storage callable, so this path never heap-allocates per event.
@@ -338,13 +332,15 @@ BENCHMARK(BM_EventQueueScheduleRun);
 // --- concurrent frozen-table match throughput (always run; BENCH_match.json)
 //
 // Readers share one frozen SubscriptionRoutingTable and match it through
-// const match_into(); each reader owns its MatchScratch and verifies every
+// const match_into(); each reader owns its MatchResult and verifies every
 // result — exact forward_to/deliver equality — against the brute-force
-// oracle (typed index and advertisement pruning off) computed up front.
-// Throughput is aggregate match operations per second across all readers. On a multi-core host the
-// eq/range suites are expected to scale near-linearly to the core count; a
-// single-core container reports ~flat numbers (the JSON records whatever
-// was measured).
+// oracle (advertisement pruning off, a scan of every compiled filter)
+// computed up front. Every publication carries its advertisement header, so
+// the readers take the advertisement-scoped path the simulator takes.
+// Throughput is aggregate match operations per second across all readers.
+// On a multi-core host it is expected to scale near-linearly to the core
+// count; a single-core container reports ~flat numbers (the JSON records
+// whatever was measured).
 struct MatchSuite {
   std::string name;
   SubscriptionRoutingTable table;
@@ -353,37 +349,18 @@ struct MatchSuite {
 
 void build_eq_suite(MatchSuite& s, std::size_t n) {
   s.name = "eq_only";
+  register_symbol_advertisements(s.table);
   for (std::size_t i = 0; i < n; ++i) {
-    Filter f;
-    f.add(Predicate{"class", Op::kEq, Value(std::string("STOCK"))});
-    f.add(Predicate{"symbol", Op::kEq, Value("SYM" + std::to_string(i % 40))});
-    s.table.insert(SubId{i}, f, Hop::to_client(ClientId{i}));
+    s.table.insert(SubId{i}, symbol_advertisement(symbol_name(i % kSymbols)),
+                   Hop::to_client(ClientId{i}));
   }
   s.table.freeze();
-  for (int k = 0; k < 8; ++k) {
+  for (std::size_t k = 0; k < 8; ++k) {
     Publication pub;
     pub.set_attr("class", Value(std::string("STOCK")));
-    pub.set_attr("symbol", Value("SYM" + std::to_string(k * 5)));
+    pub.set_attr("symbol", Value(symbol_name(k * 5)));
     pub.set_attr("low", Value(18.0));
-    s.pubs.push_back(std::move(pub));
-  }
-}
-
-void build_range_suite(MatchSuite& s, std::size_t n) {
-  s.name = "range_only";
-  Rng rng(8);
-  for (std::size_t i = 0; i < n; ++i) {
-    Filter f;
-    const double lo = rng.uniform_real(0.0, 90.0);
-    f.add(Predicate{"low", Op::kGt, Value(lo)});
-    f.add(Predicate{"low", Op::kLt, Value(lo + rng.uniform_real(0.5, 10.0))});
-    s.table.insert(SubId{i}, f, Hop::to_client(ClientId{i}));
-  }
-  s.table.freeze();
-  for (int k = 0; k < 8; ++k) {
-    Publication pub;
-    pub.set_attr("class", Value(std::string("STOCK")));
-    pub.set_attr("low", Value(5.0 + 11.0 * k));
+    pub.set_header(AdvId{k * 5}, 1);
     s.pubs.push_back(std::move(pub));
   }
 }
@@ -399,14 +376,12 @@ MatchRunStats run_match_suite(const MatchSuite& s, std::size_t threads,
                               std::size_t iters_per_thread) {
   using MatchResult = SubscriptionRoutingTable::MatchResult;
   // Brute-force oracle per publication, computed before the clock starts
-  // (the toggles are process-wide, so they flip only while no reader runs).
+  // (the toggle is process-wide, so it flips only while no reader runs).
   std::vector<MatchResult> oracle(s.pubs.size());
-  MatchingEngine::set_index_enabled(false);
   SubscriptionRoutingTable::set_adv_pruning_enabled(false);
   for (std::size_t p = 0; p < s.pubs.size(); ++p) {
     s.table.match_into(s.pubs[p], nullptr, oracle[p]);
   }
-  MatchingEngine::set_index_enabled(true);
   SubscriptionRoutingTable::set_adv_pruning_enabled(true);
 
   std::atomic<std::uint64_t> deliveries{0};
@@ -415,13 +390,12 @@ MatchRunStats run_match_suite(const MatchSuite& s, std::size_t threads,
   std::vector<std::thread> workers;
   for (std::size_t t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
-      MatchScratch scratch;
       MatchResult out;
       std::uint64_t local_deliveries = 0;
       std::uint64_t local_mismatches = 0;
       for (std::size_t i = 0; i < iters_per_thread; ++i) {
         const std::size_t p = (i + t) % s.pubs.size();
-        s.table.match_into(s.pubs[p], nullptr, out, scratch);
+        s.table.match_into(s.pubs[p], nullptr, out);
         local_deliveries += out.deliver.size();
         if (out.forward_to != oracle[p].forward_to || out.deliver != oracle[p].deliver) {
           ++local_mismatches;
@@ -463,33 +437,29 @@ int run_match_report() {
   bench::print_row({"suite", "threads", "wall(s)", "ops/s", "deliveries", "speedup", "ok"},
                    widths);
   bool all_verified = true;
-  MatchSuite eq_suite, range_suite;
-  build_eq_suite(eq_suite, filters);
-  build_range_suite(range_suite, filters);
-  for (const MatchSuite* sp : {&eq_suite, &range_suite}) {
-    const MatchSuite& suite = *sp;
-    double base_ops_per_s = 0;
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      const MatchRunStats r = run_match_suite(suite, threads, iters);
-      const double ops_per_s = r.seconds > 0 ? static_cast<double>(r.ops) / r.seconds : 0;
-      if (threads == 1) base_ops_per_s = ops_per_s;
-      const double speedup = base_ops_per_s > 0 ? ops_per_s / base_ops_per_s : 0;
-      all_verified = all_verified && r.verified;
-      bench::print_row({suite.name, std::to_string(threads), bench::fmt(r.seconds, 3),
-                        bench::fmt(ops_per_s, 0), std::to_string(r.deliveries),
-                        bench::fmt(speedup, 2) + "x", r.verified ? "ok" : "FAIL"},
-                       widths);
-      report.add_row(bench::JsonObject()
-                         .set_string("suite", suite.name)
-                         .set_integer("threads", threads)
-                         .set_integer("matches", r.ops)
-                         .set_integer("deliveries", r.deliveries)
-                         .set_number("seconds", r.seconds)
-                         .set_number("matches_per_s", ops_per_s)
-                         .set_number("speedup_vs_1", speedup)
-                         .set_bool("single_core_host", single_core_host)
-                         .set_bool("verified", r.verified));
-    }
+  MatchSuite suite;
+  build_eq_suite(suite, filters);
+  double base_ops_per_s = 0;
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    const MatchRunStats r = run_match_suite(suite, threads, iters);
+    const double ops_per_s = r.seconds > 0 ? static_cast<double>(r.ops) / r.seconds : 0;
+    if (threads == 1) base_ops_per_s = ops_per_s;
+    const double speedup = base_ops_per_s > 0 ? ops_per_s / base_ops_per_s : 0;
+    all_verified = all_verified && r.verified;
+    bench::print_row({suite.name, std::to_string(threads), bench::fmt(r.seconds, 3),
+                      bench::fmt(ops_per_s, 0), std::to_string(r.deliveries),
+                      bench::fmt(speedup, 2) + "x", r.verified ? "ok" : "FAIL"},
+                     widths);
+    report.add_row(bench::JsonObject()
+                       .set_string("suite", suite.name)
+                       .set_integer("threads", threads)
+                       .set_integer("matches", r.ops)
+                       .set_integer("deliveries", r.deliveries)
+                       .set_number("seconds", r.seconds)
+                       .set_number("matches_per_s", ops_per_s)
+                       .set_number("speedup_vs_1", speedup)
+                       .set_bool("single_core_host", single_core_host)
+                       .set_bool("verified", r.verified));
   }
   report.write("BENCH_match.json", "rows");
   if (!all_verified) {

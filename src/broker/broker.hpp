@@ -53,8 +53,8 @@ class Broker {
   // it came from (if any). Fills (and clears) a caller-owned result, so a
   // driver can reuse one MatchResult's vectors across every routed message.
   void route_into(const Publication& pub, const BrokerId* from,
-                  SubscriptionRoutingTable::MatchResult& out, MatchScratch& scratch) const {
-    srt_.match_into(pub, from, out, scratch);
+                  SubscriptionRoutingTable::MatchResult& out) const {
+    srt_.match_into(pub, from, out);
   }
 
   void reset_queues() {

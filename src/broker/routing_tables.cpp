@@ -65,15 +65,15 @@ void SubscriptionRoutingTable::register_advertisement(AdvId id, const Filter& fi
 
 void SubscriptionRoutingTable::freeze() {
   Table t;
-  t.index = engine_.compile();
-  const std::size_t n = t.index.subs.size();
+  t.subs = engine_.compile();
+  const std::size_t n = t.subs.size();
   t.hops.reserve(n);
   // Every engine handle has a hop (insert/remove keep them in sync).
-  for (const auto& sub : t.index.subs) t.hops.push_back(hops_.at(SubId{sub.handle}));
+  for (const auto& sub : t.subs) t.hops.push_back(hops_.at(SubId{sub.handle}));
   if (!advs_.empty()) {
     std::vector<std::vector<EqPred>> sub_eqs;
     sub_eqs.reserve(n);
-    for (const auto& sub : t.index.subs) sub_eqs.push_back(eq_preds(*engine_.find(sub.handle)));
+    for (const auto& sub : t.subs) sub_eqs.push_back(eq_preds(*engine_.find(sub.handle)));
     t.advs.reserve(advs_.size());
     for (const auto& [id, filter] : advs_) {
       Table::AdvScope scope;
@@ -99,14 +99,15 @@ void SubscriptionRoutingTable::finalize(MatchResult& result) {
 }
 
 void SubscriptionRoutingTable::match_into(const Publication& pub, const BrokerId* exclude,
-                                          MatchResult& result, MatchScratch& scratch) const {
+                                          MatchResult& result) const {
   assert(!stale_ && "routing table mutated after freeze(); freeze it again before matching");
   result.clear();
   const Table& t = table_;
-  auto route = [&](std::uint32_t idx) {
+  auto visit = [&](std::uint32_t idx) {
+    if (!t.subs[idx].filter.matches(pub)) return;
     const Hop& hop = t.hops[idx];
     if (hop.kind == Hop::Kind::kClient) {
-      result.deliver.emplace_back(SubId{t.index.subs[idx].handle}, hop.client);
+      result.deliver.emplace_back(SubId{t.subs[idx].handle}, hop.client);
     } else {
       if (exclude != nullptr && hop.broker == *exclude) return;
       result.forward_to.push_back(hop.broker);
@@ -116,19 +117,16 @@ void SubscriptionRoutingTable::match_into(const Publication& pub, const BrokerId
   if (adv_pruning_enabled() && pub.adv_id().valid()) {
     const auto it = t.advs.find(pub.adv_id());
     // Pruning applies only to conforming publications; anything else (or an
-    // unknown advertisement) takes the full index match.
+    // unknown advertisement) scans every compiled filter.
     if (it != t.advs.end() && it->second.compiled.matches(pub)) scope = &it->second;
   }
   if (scope != nullptr) {
-    // Advertisement-scoped fast path: the candidate list is one dense pass.
     MatchingEngine::add_match_walks(scope->candidates.size());
-    for (const std::uint32_t idx : scope->candidates) {
-      if (t.index.subs[idx].filter.matches(pub)) route(idx);
-    }
+    for (const std::uint32_t idx : scope->candidates) visit(idx);
   } else {
-    scratch.dense.clear();
-    t.index.match_into(pub, scratch.dense);
-    for (const std::uint32_t idx : scratch.dense) route(idx);
+    const auto n = static_cast<std::uint32_t>(t.subs.size());
+    MatchingEngine::add_match_walks(n);
+    for (std::uint32_t idx = 0; idx < n; ++idx) visit(idx);
   }
   finalize(result);
 }

@@ -5,12 +5,13 @@
 //
 // Build-then-freeze: routing state changes only when a deployment installs
 // it. One thread fills a table (insert/remove/register_advertisement), then
-// freeze() compiles it once into an immutable routing table — the matching
-// engine's Index, a hop per compiled subscription and the advertisement
-// scopes. match_into() reads only that compiled table, as const, from any
-// number of threads at once; happens-before comes from the thread start
-// (or other synchronization) that hands the frozen table over. A mutation after freeze() marks the table
-// stale, and matching a stale table asserts in debug builds.
+// freeze() compiles it once into an immutable routing table — the compiled
+// filters, a hop per compiled subscription and the advertisement scopes.
+// match_into() reads only that compiled table, as const, from any number of
+// threads at once; happens-before comes from the thread start (or other
+// synchronization) that hands the frozen table over. A mutation after
+// freeze() marks the table stale, and matching a stale table asserts in
+// debug builds.
 #pragma once
 
 #include <cstdint>
@@ -73,8 +74,8 @@ class SubscriptionRoutingTable {
   // from `id` (one matching the advertisement's filter) can only match
   // subscriptions compatible with it, so freeze() precomputes a
   // conservative candidate set per advertisement and matching scans only
-  // those candidates. Non-conforming publications fall back to the full
-  // index match, so registration never changes the match set.
+  // those candidates. Any other publication scans every compiled filter, so
+  // registration never changes the match set.
   void register_advertisement(AdvId id, const Filter& filter);
 
   // Compile the current entries into the immutable table match_into()
@@ -87,17 +88,9 @@ class SubscriptionRoutingTable {
 
   // Match a publication against the compiled table, optionally excluding
   // the broker link it arrived on (never forward a publication back where
-  // it came from). `out` is cleared first; `scratch` is caller-owned. Safe
-  // from any number of threads at once. The table must not be stale.
-  void match_into(const Publication& pub, const BrokerId* exclude, MatchResult& out,
-                  MatchScratch& scratch) const;
-
-  // Convenience overload with call-local scratch (allocates; tests and cold
-  // paths only).
-  void match_into(const Publication& pub, const BrokerId* exclude, MatchResult& out) const {
-    MatchScratch scratch;
-    match_into(pub, exclude, out, scratch);
-  }
+  // it came from). `out` is cleared first. Safe from any number of threads
+  // at once. The table must not be stale.
+  void match_into(const Publication& pub, const BrokerId* exclude, MatchResult& out) const;
 
   [[nodiscard]] MatchResult match(const Publication& pub,
                                   const BrokerId* exclude = nullptr) const {
@@ -109,9 +102,10 @@ class SubscriptionRoutingTable {
   [[nodiscard]] std::size_t filter_count() const { return hops_.size(); }
   [[nodiscard]] bool contains(SubId sub) const { return hops_.contains(sub); }
 
-  // Test hook: disable advertisement-scoped candidate pruning process-wide
-  // (the determinism test asserts identical results either way). The flag
-  // is atomic; flip it only while no match is in flight.
+  // Test hook: disable advertisement-scoped candidate pruning process-wide,
+  // so every publication scans every compiled filter (the brute-force
+  // reference the tests compare against). The flag is atomic; flip it only
+  // while no match is in flight.
   static void set_adv_pruning_enabled(bool enabled);
   [[nodiscard]] static bool adv_pruning_enabled();
 
@@ -125,17 +119,17 @@ class SubscriptionRoutingTable {
     ValueKey key;
   };
 
-  // The compiled table: the engine index (dense subs in ascending handle
-  // order), a hop per dense sub, and per advertisement its conformance
-  // check plus candidates as dense indices.
+  // The compiled table: the compiled filters (dense, ascending handle), a
+  // hop per dense sub, and per advertisement its conformance check plus
+  // candidates as dense indices.
   struct Table {
     struct AdvScope {
       CompiledFilter compiled;
       std::vector<std::uint32_t> candidates;  // dense, ascending handle
     };
 
-    MatchingEngine::Index index;
-    std::vector<Hop> hops;  // parallel to index.subs
+    std::vector<MatchingEngine::Sub> subs;
+    std::vector<Hop> hops;  // parallel to subs
     std::unordered_map<AdvId, AdvScope> advs;
   };
 

@@ -3,9 +3,9 @@
 //
 // Attribute names and string attribute values recur constantly (every stock
 // publication carries the same twelve attribute names; filters reuse the
-// same symbols), so the matching engine keys its indexes on small integer
-// ids instead of strings. Numeric values are keyed on the bit pattern of
-// their canonical double — previously the engine built
+// same symbols), so compiled filters compare small integer ids instead of
+// strings. Numeric values are keyed on the bit pattern of their canonical
+// double — previously the engine built
 // `"n:" + std::to_string(double)` per attribute per match, which allocated
 // and was locale-dependent (std::to_string obeys LC_NUMERIC); the bit key
 // removes the formatting entirely.
@@ -65,9 +65,9 @@ class Interner {
   std::vector<const std::string*> spellings_;
 };
 
-// Canonical constant-size key of a Value, suitable for hashing: equal values
-// (under Value::equals) produce equal keys, including int 5 vs real 5.0,
-// which share the canonical double 5.0.
+// Canonical constant-size key of a Value: equal values (under
+// Value::equals) produce equal keys, including int 5 vs real 5.0, which
+// share the canonical double 5.0.
 struct ValueKey {
   enum class Tag : std::uint8_t { kNone, kNumber, kString, kBool };
 
@@ -75,13 +75,6 @@ struct ValueKey {
   std::uint64_t bits = 0;
 
   friend bool operator==(const ValueKey&, const ValueKey&) = default;
-};
-
-struct ValueKeyHash {
-  std::size_t operator()(const ValueKey& k) const noexcept {
-    return std::hash<std::uint64_t>{}(k.bits * 0x9e3779b97f4a7c15ULL +
-                                      static_cast<std::uint64_t>(k.tag));
-  }
 };
 
 // Key of `v`, interning string values in the global interner.
@@ -92,7 +85,7 @@ struct ValueKeyHash {
 [[nodiscard]] ValueKey value_key_readonly(const Value& v);
 
 // Canonical double for numeric keys: -0.0 folds into +0.0 so the two equal
-// zeros share a bucket.
+// zeros share a key.
 [[nodiscard]] inline std::uint64_t numeric_key_bits(double d) {
   if (d == 0.0) d = 0.0;
   return std::bit_cast<std::uint64_t>(d);

@@ -18,8 +18,8 @@ namespace greenps {
 class Publication {
  public:
   // Interned view of one attribute, precomputed at set_attr() time so every
-  // broker a publication visits can probe hash indexes without touching the
-  // attribute strings again.
+  // broker a publication visits can evaluate compiled filters without
+  // touching the attribute strings again.
   struct AttrKey {
     InternId attr = kNoIntern;
     ValueKey key;

@@ -1,8 +1,10 @@
 #include "obs/sampler.hpp"
 
 #include <cassert>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 #include "obs/report.hpp"
 
@@ -50,8 +52,18 @@ bool TimeSeriesSampler::write_csv(const std::string& path) const {
 std::int64_t TimeSeriesSampler::interval_us_from_env() {
   const char* v = std::getenv("GREENPS_OBS_SAMPLE_MS");
   if (v == nullptr || *v == '\0') return 0;
-  const long ms = std::strtol(v, nullptr, 10);
-  return ms > 0 ? static_cast<std::int64_t>(ms) * 1000 : 0;
+  const std::string_view text(v);
+  std::int64_t ms = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), ms);
+  if (ec != std::errc{} || ptr != text.data() + text.size() || ms < 1 ||
+      ms > kMaxSampleMs) {
+    std::fprintf(stderr,
+                 "[greenps obs] GREENPS_OBS_SAMPLE_MS='%s' is not a whole number of "
+                 "milliseconds in [1, %lld]; sampling stays off\n",
+                 v, static_cast<long long>(kMaxSampleMs));
+    return 0;
+  }
+  return ms * 1000;
 }
 
 std::string TimeSeriesSampler::path_from_env() {

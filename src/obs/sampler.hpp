@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -36,8 +37,12 @@ class TimeSeriesSampler {
   bool write_csv(const std::string& path) const;
   void clear() { rows_.clear(); }
 
-  // GREENPS_OBS_SAMPLE_MS parsed as a sim-time sampling interval; 0 when
-  // unset/invalid, meaning sampling is disabled.
+  // Largest GREENPS_OBS_SAMPLE_MS whose microsecond count fits an int64.
+  static constexpr std::int64_t kMaxSampleMs = std::numeric_limits<std::int64_t>::max() / 1000;
+  // GREENPS_OBS_SAMPLE_MS parsed as a sim-time sampling interval in
+  // microseconds; 0 (sampling disabled) when unset. A value that is not a
+  // whole number of milliseconds in [1, kMaxSampleMs] logs a warning and
+  // also gives 0.
   [[nodiscard]] static std::int64_t interval_us_from_env();
   // GREENPS_OBS_SAMPLES output path, default "obs_samples.csv".
   [[nodiscard]] static std::string path_from_env();

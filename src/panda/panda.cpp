@@ -196,7 +196,11 @@ std::string write_panda(const Deployment& deployment) {
   std::ostringstream os;
   os << "# greenps topology file\n";
   const auto brokers = deployment.topology.brokers();
-  auto bname = [](BrokerId b) { return "B" + std::to_string(b.value()); };
+  auto bname = [](BrokerId b) {
+    std::string name = "B";
+    name += std::to_string(b.value());
+    return name;
+  };
   for (const BrokerId b : brokers) {
     os << "broker " << bname(b);
     const auto it = deployment.capacities.find(b);

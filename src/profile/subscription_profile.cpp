@@ -208,29 +208,6 @@ Bandwidth SubscriptionProfile::induced_bandwidth(const PublisherTable& table) co
   return total;
 }
 
-MsgRate SubscriptionProfile::intersection_rate(const SubscriptionProfile& a,
-                                               const SubscriptionProfile& b,
-                                               const PublisherTable& table) {
-  MsgRate total = 0;
-  for (const auto& [adv, va] : a.vectors_) {
-    const auto bit = b.vectors_.find(adv);
-    if (bit == b.vectors_.end()) continue;
-    const auto pit = table.find(adv);
-    if (pit == table.end()) continue;
-    const std::size_t common = WindowedBitVector::intersect_count(va, bit->second);
-    if (common == 0) continue;
-    // Use the larger observed window of the two as the denominator; the
-    // intersection cannot out-fraction either operand.
-    const double fa = set_fraction(va, pit->second);
-    const double fb = set_fraction(bit->second, pit->second);
-    const double denom_a = fa > 0 ? static_cast<double>(va.count()) / fa : 1.0;
-    const double denom_b = fb > 0 ? static_cast<double>(bit->second.count()) / fb : 1.0;
-    const double denom = std::max({denom_a, denom_b, static_cast<double>(common)});
-    total += pit->second.rate_msg_s * static_cast<double>(common) / denom;
-  }
-  return total;
-}
-
 const WindowedBitVector* SubscriptionProfile::vector_for(AdvId adv) const {
   const auto it = vectors_.find(adv);
   return it == vectors_.end() ? nullptr : &it->second;

@@ -92,12 +92,6 @@ class SubscriptionProfile {
   [[nodiscard]] MsgRate induced_rate(const PublisherTable& table) const;
   [[nodiscard]] Bandwidth induced_bandwidth(const PublisherTable& table) const;
 
-  // Publication rate common to both profiles (used to estimate the rate of
-  // a union without materializing it: r(a∪b) = r(a) + r(b) − r(a∩b)).
-  [[nodiscard]] static MsgRate intersection_rate(const SubscriptionProfile& a,
-                                                 const SubscriptionProfile& b,
-                                                 const PublisherTable& table);
-
   // Bit vector for one publisher, or nullptr if none recorded.
   [[nodiscard]] const WindowedBitVector* vector_for(AdvId adv) const;
   // Fraction of `pub`'s observed stream this profile sinks (0 when absent).

@@ -20,8 +20,9 @@ double fraction(std::size_t set, MessageSeq first_id, std::size_t capacity,
   return static_cast<double>(set) / static_cast<double>(observed);
 }
 
-// One common-publisher contribution, operation-for-operation the body of
-// SubscriptionProfile::intersection_rate's loop.
+// One common publisher's contribution to the intersection rate. The larger
+// observed window of the two operands is the denominator; the intersection
+// cannot out-fraction either operand.
 MsgRate adv_rate(const UnionProfile::Entry& e, const WindowedBitVector& vb,
                  const PublisherProfile& pub) {
   const std::size_t common = WindowedBitVector::intersect_count(e.bits, vb);

@@ -5,8 +5,8 @@
 // already-accepted profile thousands of times per CRAM run, so the union
 // side is stored flat (one contiguous sorted vector, publisher pointers
 // resolved once) and walked against the unit's sorted map with a single
-// two-pointer pass. Arithmetic is kept operation-for-operation identical to
-// SubscriptionProfile::intersection_rate so allocations stay bit-identical.
+// two-pointer pass. It is the only kernel for the rate two profiles have in
+// common.
 #pragma once
 
 #include <cstddef>
@@ -29,7 +29,7 @@ class UnionProfile {
     // full popcount pass. Updated on merge.
     std::size_t count = 0;
     // Publisher resolved once at first merge; nullptr when the adv is absent
-    // from the table (contributes no rate, exactly like the map kernel).
+    // from the table (contributes no rate).
     const PublisherProfile* pub = nullptr;
   };
 
@@ -38,8 +38,8 @@ class UnionProfile {
   void clear() { entries_.clear(); }
 
   // Publication rate common to this union and `p` — one sorted two-pointer
-  // walk, numerically identical to
-  // SubscriptionProfile::intersection_rate(union, p, table).
+  // walk. Used to estimate the rate of a union without materializing it:
+  // r(U ∪ p) = r(U) + r(p) − r(U ∩ p).
   [[nodiscard]] MsgRate intersection_rate(const SubscriptionProfile& p) const;
 
   // OR-merge `p` into the union (publishers resolved against `table` on

@@ -262,7 +262,7 @@ void Simulation::arrive_at_broker(BrokerSlot& slot, std::shared_ptr<const Public
   // evaluating at matched_at and avoids copying the tables into the closure.
   // The scratch result is consumed before this function returns (the
   // scheduled closures don't reference it), so reuse across arrivals is safe.
-  br.route_into(*pub, exclude, route_scratch_, match_scratch_);
+  br.route_into(*pub, exclude, route_scratch_);
   const auto& decision = route_scratch_;
 
   const MsgSize size = pub->size_kb();

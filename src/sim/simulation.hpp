@@ -14,8 +14,8 @@
 // Concurrency model: routing state is build-then-freeze. redeploy() creates
 // fresh brokers, install_routing() fills their tables and freezes each SRT
 // into an immutable compiled table; run() only reads those tables (const
-// match_into with the simulation's own scratch). One thread drives a
-// Simulation at a time. Separate Simulations may run on separate threads:
+// match_into into the simulation's own reusable result). One thread drives
+// a Simulation at a time. Separate Simulations may run on separate threads:
 // the one structure they share, the global Interner, locks internally.
 #pragma once
 
@@ -291,7 +291,6 @@ class Simulation {
   std::unordered_map<AdvId, MessageSeq> seq_;
   // Per-arrival scratch, reused across every publication.
   SubscriptionRoutingTable::MatchResult route_scratch_;
-  MatchScratch match_scratch_;
   PublicationPool pub_pool_;
   // Brokers hosting at least one client, precomputed at redeploy() so the
   // pure-forwarder check in summarize() is O(1) per broker instead of

@@ -1,7 +1,7 @@
 // Concurrency suite for the build-then-freeze broker core: several threads
 // match one frozen routing table at once and must each see exactly the
 // brute-force oracle's answer, the compiled table must give identical
-// results across the process-wide fast-path toggles, and the interner —
+// results with advertisement pruning on and off, and the interner —
 // the one shared structure written while matching threads run — must stay
 // consistent under racing first-sight interns. Every test asserts *exact*
 // equality.
@@ -46,14 +46,10 @@ std::vector<Publication> probe_publications() {
   return pubs;
 }
 
-// Restore the process-wide fast-path toggles even if a test fails.
+// Restore the process-wide pruning toggle even if a test fails.
 struct ToggleGuard {
-  bool index = MatchingEngine::index_enabled();
   bool pruning = SubscriptionRoutingTable::adv_pruning_enabled();
-  ~ToggleGuard() {
-    MatchingEngine::set_index_enabled(index);
-    SubscriptionRoutingTable::set_adv_pruning_enabled(pruning);
-  }
+  ~ToggleGuard() { SubscriptionRoutingTable::set_adv_pruning_enabled(pruning); }
 };
 
 // Fill `table` through every mutator — inserts (some replacing), removes
@@ -93,8 +89,8 @@ std::vector<Publication> headed_publications() {
     // 2 and 3 do not.
     pubs[i].set_header(AdvId{i}, 1);
   }
-  // A known advertisement the publication does not conform to: takes the
-  // full index match.
+  // A known advertisement the publication does not conform to: scans every
+  // compiled filter.
   Publication odd = pubs[2];
   odd.set_header(AdvId{0}, 2);
   pubs.push_back(std::move(odd));
@@ -102,8 +98,8 @@ std::vector<Publication> headed_publications() {
 }
 
 // Four threads match one frozen table at once. Each result must equal,
-// exactly, the brute-force oracle's (typed index off, advertisement pruning
-// off) computed single-threaded before the readers start.
+// exactly, the brute-force oracle's (advertisement pruning off) computed
+// single-threaded before the readers start.
 TEST(ConcurrentMatching, FrozenTableReadersAgreeWithOracle) {
   ToggleGuard restore;
   for (const std::uint64_t seed : {11u, 29u, 71u}) {
@@ -111,13 +107,11 @@ TEST(ConcurrentMatching, FrozenTableReadersAgreeWithOracle) {
     build_table(table, seed);
     const std::vector<Publication> pubs = headed_publications();
 
-    MatchingEngine::set_index_enabled(false);
     SubscriptionRoutingTable::set_adv_pruning_enabled(false);
     std::vector<MatchResult> oracle(pubs.size());
     for (std::size_t pi = 0; pi < pubs.size(); ++pi) {
       table.match_into(pubs[pi], nullptr, oracle[pi]);
     }
-    MatchingEngine::set_index_enabled(true);
     SubscriptionRoutingTable::set_adv_pruning_enabled(true);
 
     constexpr int kReaders = 4;
@@ -127,11 +121,10 @@ TEST(ConcurrentMatching, FrozenTableReadersAgreeWithOracle) {
     for (int r = 0; r < kReaders; ++r) {
       readers.emplace_back([&, r] {
         Rng rng(seed * 1000 + static_cast<std::uint64_t>(r));
-        MatchScratch scratch;
         MatchResult out;
         for (int k = 0; k < kMatchesPerReader; ++k) {
           const std::size_t pi = rng.index(pubs.size());
-          table.match_into(pubs[pi], nullptr, out, scratch);
+          table.match_into(pubs[pi], nullptr, out);
           if (!results_equal(out, oracle[pi])) ++mismatches[static_cast<std::size_t>(r)];
         }
       });
@@ -144,16 +137,14 @@ TEST(ConcurrentMatching, FrozenTableReadersAgreeWithOracle) {
   }
 }
 
-// One frozen table gives identical results under every combination of the
-// process-wide fast-path toggles: typed index on/off x advertisement
-// pruning on/off.
+// One frozen table gives identical results with advertisement pruning on
+// and off.
 TEST(ConcurrentMatching, FrozenTableAgreesAcrossToggles) {
   ToggleGuard restore;
   SubscriptionRoutingTable table;
   build_table(table, 42);
   const std::vector<Publication> pubs = headed_publications();
 
-  MatchingEngine::set_index_enabled(false);
   SubscriptionRoutingTable::set_adv_pruning_enabled(false);
   std::vector<MatchResult> reference(pubs.size());
   for (std::size_t pi = 0; pi < pubs.size(); ++pi) {
@@ -161,17 +152,12 @@ TEST(ConcurrentMatching, FrozenTableAgreesAcrossToggles) {
   }
   ASSERT_FALSE(reference[0].deliver.empty() && reference[0].forward_to.empty());
 
-  MatchScratch scratch;
-  for (const bool index_on : {true, false}) {
-    for (const bool pruning_on : {true, false}) {
-      MatchingEngine::set_index_enabled(index_on);
-      SubscriptionRoutingTable::set_adv_pruning_enabled(pruning_on);
-      for (std::size_t pi = 0; pi < pubs.size(); ++pi) {
-        MatchResult got;
-        table.match_into(pubs[pi], nullptr, got, scratch);
-        EXPECT_TRUE(results_equal(got, reference[pi]))
-            << "index=" << index_on << " pruning=" << pruning_on << " pub " << pi;
-      }
+  for (const bool pruning_on : {true, false}) {
+    SubscriptionRoutingTable::set_adv_pruning_enabled(pruning_on);
+    for (std::size_t pi = 0; pi < pubs.size(); ++pi) {
+      MatchResult got;
+      table.match_into(pubs[pi], nullptr, got);
+      EXPECT_TRUE(results_equal(got, reference[pi])) << "pruning=" << pruning_on << " pub " << pi;
     }
   }
 }

@@ -224,7 +224,9 @@ std::string allocation_signature(const Allocation& a) {
       clusters.push_back(c);
     }
     std::sort(clusters.begin(), clusters.end());
-    sig += "B" + std::to_string(b.broker().id.value()) + "{";
+    sig += 'B';
+    sig += std::to_string(b.broker().id.value());
+    sig += '{';
     for (const std::string& c : clusters) sig += c + ";";
     sig += "}";
   }

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -251,6 +252,33 @@ TEST(TimeSeriesSampler, SimulationEmitsSamplesWhenEnabled) {
 
 TEST(TimeSeriesSampler, DisabledByDefault) {
   EXPECT_EQ(obs::TimeSeriesSampler::interval_us_from_env(), 0);
+}
+
+// The interval is outside input: anything but a whole number of
+// milliseconds whose microsecond count fits an int64 disables sampling.
+TEST(TimeSeriesSampler, EnvIntervalAcceptsOnlyWholePositiveMillis) {
+  const std::int64_t max_ms = obs::TimeSeriesSampler::kMaxSampleMs;
+  const std::pair<std::string, std::int64_t> cases[] = {
+      {"500", 500000},
+      {"1", 1000},
+      {std::to_string(max_ms), max_ms * 1000},
+      {std::to_string(max_ms + 1), 0},
+      {"9223372036854775807", 0},
+      {"99999999999999999999", 0},
+      {"500abc", 0},
+      {"500 ", 0},
+      {" 500", 0},
+      {"+500", 0},
+      {"0", 0},
+      {"-5", 0},
+      {"abc", 0},
+      {"", 0},
+  };
+  for (const auto& [text, expected_us] : cases) {
+    setenv("GREENPS_OBS_SAMPLE_MS", text.c_str(), 1);
+    EXPECT_EQ(obs::TimeSeriesSampler::interval_us_from_env(), expected_us) << "'" << text << "'";
+  }
+  unsetenv("GREENPS_OBS_SAMPLE_MS");
 }
 
 // ---- tracer ----

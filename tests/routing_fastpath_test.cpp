@@ -1,11 +1,10 @@
-// The publication-routing fast path: compiled filters, the typed matching
-// indexes, and advertisement-scoped candidate pruning must all be invisible
-// to observable behavior. These tests pit each layer against a naive oracle
-// on randomized inputs and assert the end-to-end simulation is bit-identical
-// with the fast path disabled.
+// The publication-routing fast path: compiled filters and
+// advertisement-scoped candidate pruning must both be invisible to
+// observable behavior. These tests pit each layer against a naive oracle on
+// randomized inputs and assert the end-to-end simulation is bit-identical
+// with pruning disabled.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -18,14 +17,10 @@
 namespace greenps {
 namespace {
 
-// Restore the process-wide fast-path toggles even if a test fails.
+// Restore the process-wide pruning toggle even if a test fails.
 struct ToggleGuard {
-  bool index = MatchingEngine::index_enabled();
   bool pruning = SubscriptionRoutingTable::adv_pruning_enabled();
-  ~ToggleGuard() {
-    MatchingEngine::set_index_enabled(index);
-    SubscriptionRoutingTable::set_adv_pruning_enabled(pruning);
-  }
+  ~ToggleGuard() { SubscriptionRoutingTable::set_adv_pruning_enabled(pruning); }
 };
 
 const char* const kAttrs[] = {"class", "symbol", "low", "volume", "flag", "note"};
@@ -58,17 +53,6 @@ Filter random_filter(Rng& rng) {
   return f;
 }
 
-// Handles of the filters in `index` matching `pub`, ascending.
-std::vector<MatchingEngine::Handle> matching_handles(const MatchingEngine::Index& index,
-                                                     const Publication& pub) {
-  std::vector<std::uint32_t> dense;
-  index.match_into(pub, dense);
-  std::vector<MatchingEngine::Handle> out;
-  for (const std::uint32_t i : dense) out.push_back(index.subs[i].handle);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 Publication random_publication(Rng& rng) {
   Publication pub;
   const std::size_t n = 1 + rng.index(6);
@@ -89,43 +73,6 @@ TEST(CompiledFilter, AgreesWithFilterMatchesOnRandomInputs) {
     const Publication pub = random_publication(rng);
     EXPECT_EQ(cf.matches(pub), f.matches(pub))
         << "case " << i << ": " << f.to_string() << " vs " << pub.to_string();
-  }
-}
-
-// Differential test of the compiled typed index against a scan-all oracle on
-// 1,200 random publications over 300 random filters, with removals mixed in
-// before compilation.
-TEST(MatchingEngineProperty, TypedIndexAgreesWithScanAllOracle) {
-  ToggleGuard guard;
-  Rng rng(2025);
-  MatchingEngine eng;
-  std::vector<std::pair<MatchingEngine::Handle, Filter>> oracle;
-  for (MatchingEngine::Handle h = 1; h <= 300; ++h) {
-    const Filter f = random_filter(rng);
-    eng.insert(h, f);
-    oracle.emplace_back(h, f);
-  }
-  // Remove a random slice so index maintenance is exercised too.
-  for (int i = 0; i < 50; ++i) {
-    const auto k = rng.index(oracle.size());
-    eng.remove(oracle[k].first);
-    oracle.erase(oracle.begin() + static_cast<std::ptrdiff_t>(k));
-  }
-  const MatchingEngine::Index index = eng.compile();
-
-  for (int round = 0; round < 1200; ++round) {
-    const Publication pub = random_publication(rng);
-    std::vector<MatchingEngine::Handle> expected;
-    for (const auto& [h, f] : oracle) {
-      if (f.matches(pub)) expected.push_back(h);
-    }
-
-    MatchingEngine::set_index_enabled(true);
-    EXPECT_EQ(matching_handles(index, pub), expected)
-        << "round " << round << ": " << pub.to_string();
-
-    MatchingEngine::set_index_enabled(false);
-    EXPECT_EQ(matching_handles(index, pub), expected) << "round " << round << " (index disabled)";
   }
 }
 
@@ -218,7 +165,6 @@ TEST(SubscriptionRoutingTable, PruningReducesMatchWalks) {
   const std::size_t pruned_walks = MatchingEngine::match_walks();
 
   SubscriptionRoutingTable::set_adv_pruning_enabled(false);
-  MatchingEngine::set_index_enabled(false);
   MatchingEngine::reset_match_walks();
   const auto brute = srt.match(pub);
   const std::size_t brute_walks = MatchingEngine::match_walks();
@@ -230,7 +176,7 @@ TEST(SubscriptionRoutingTable, PruningReducesMatchWalks) {
 }
 
 // End-to-end determinism: a full simulation must produce a bit-identical
-// summary with the fast path (typed indexes + pruning) on and off.
+// summary with advertisement-scoped pruning on and off.
 TEST(SimulationDeterminism, FastPathTogglesPreserveSummaryBitForBit) {
   ToggleGuard guard;
   ScenarioConfig cfg;
@@ -241,7 +187,6 @@ TEST(SimulationDeterminism, FastPathTogglesPreserveSummaryBitForBit) {
   cfg.seed = 42;
 
   const auto run = [&cfg](bool fast) {
-    MatchingEngine::set_index_enabled(fast);
     SubscriptionRoutingTable::set_adv_pruning_enabled(fast);
     Simulation sim = make_simulation(cfg);
     sim.run(5.0);
